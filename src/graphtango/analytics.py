@@ -1,8 +1,8 @@
 """Batch analytics over a CSR snapshot of any of the edge stores.
 
 After each update batch the harness freezes the store into a compressed
-sparse row snapshot (one pass over the per-vertex edge cursors, no hash
-probes) and runs the requested kernels on plain numpy arrays.
+sparse row snapshot (the store's own csr() export, no hash probes) and
+runs the requested kernels on plain numpy arrays.
 
 BFS, SSSP, and connected components share one engine: iterative
 minimum-relaxation over a frontier. Each round gathers every out-edge of
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import VertexRangeError
+from .store import IN, OUT
 
 UNREACHABLE = np.inf
 
@@ -55,35 +56,17 @@ class Snapshot:
         return np.diff(self.indptr)
 
 
-def _side_csr(store, side: int, with_weights: bool):
-    V = store.num_vertices
-    degs = store.degree_array(side).astype(np.int64)
-    indptr = np.zeros(V + 1, dtype=np.int64)
-    np.cumsum(degs, out=indptr[1:])
-    total = int(indptr[-1])
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return indptr, empty, (np.empty(0, dtype=np.float64) if with_weights else None)
-    chunks = [store.neighbors(v, side) for v in range(V) if degs[v]]
-    indices = np.concatenate(chunks).astype(np.int64)
-    weights = None
-    if with_weights:
-        wchunks = [store.neighbor_props(v, side) for v in range(V) if degs[v]]
-        weights = np.concatenate(wchunks).astype(np.float64)
-    return indptr, indices, weights
-
-
 def build_snapshot(store, need_in: bool = False) -> Snapshot:
-    """Freeze a store into CSR form by walking its edge cursors.
+    """Freeze a store into CSR form through its csr() export.
 
     need_in additionally materializes the in-edge CSR of a directed store
     (components need both directions); undirected stores already hold each
     edge under both endpoints.
     """
-    indptr, indices, weights = _side_csr(store, 0, store.weighted)
+    indptr, indices, weights = store.csr(OUT, store.weighted)
     snap = Snapshot(store.num_vertices, store.directed, indptr, indices, weights)
     if need_in and store.directed:
-        snap.in_indptr, snap.in_indices, _ = _side_csr(store, 1, False)
+        snap.in_indptr, snap.in_indices, _ = store.csr(IN, False)
     return snap
 
 

@@ -52,7 +52,6 @@ class AdListBase:
         self._sides = [_AdjSide(num_vertices)]
         if config.directed:
             self._sides.append(_AdjSide(num_vertices))
-        self.vprop = np.zeros(num_vertices, dtype=np.uint64)
 
     # -- single-direction operations ---------------------------------------
 
@@ -178,6 +177,19 @@ class AdListBase:
         out.flags.writeable = False
         return out
 
+    def csr(self, side: int = OUT, with_weights: bool = False):
+        """One side as CSR arrays (indptr, indices, weights or None), rows in
+        storage order: the live prefix of every edge array, concatenated."""
+        st = self._sides[side]
+        ew = self._ew
+        deg = np.asarray(st.degs, dtype=np.int64)
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        live = [a[:d * ew] for a, d in zip(st.arrs, st.degs) if d]
+        words = np.concatenate([_EMPTY] + live)
+        weights = words[1::2].astype(np.float64) if with_weights else None
+        return indptr, words[::ew].astype(np.int64), weights
+
     def has_edge(self, src: int, dst: int) -> bool:
         return bool(np.any(self.neighbors(src) == dst))
 
@@ -207,9 +219,7 @@ class AdListBase:
         """
         cap_words = sum(len(a) for st in self._sides for a in st.arrs
                         if a is not None)
-        return (self.num_vertices * self._per_vertex_overhead()
-                + self.vprop.nbytes
-                + cap_words * 8)
+        return self.num_vertices * self._per_vertex_overhead() + cap_words * 8
 
     def check_invariants(self, v: int, side: int = OUT, deep: bool = False) -> None:
         st = self._sides[side]

@@ -21,6 +21,9 @@ MAX_VERTEX_ID = 2**64 - 3
 _SYNTH_KINDS = ("short_tailed", "heavy_tailed")
 _KIND_ALIASES = {"short": "short_tailed", "heavy": "heavy_tailed"}
 
+# Weights are stored as int64.
+_MAX_INT64 = 2**63 - 1
+
 # Synthetic edge weights are drawn uniformly from [1, _MAX_WEIGHT].
 _MAX_WEIGHT = 16
 
@@ -76,7 +79,7 @@ def load_snap(path, *, weighted: bool = False, directed: bool = False) -> EdgeLi
     duplicates through exercises exactly that path.
 
     Raises ParseError (with the 1-based line number) on malformed lines,
-    ids outside [0, 2^64 - 3], or negative weights.
+    ids outside [0, 2^64 - 3], or weights outside [0, 2^63 - 1].
     """
     srcs: list[int] = []
     dsts: list[int] = []
@@ -118,6 +121,8 @@ def load_snap(path, *, weighted: bool = False, directed: bool = False) -> EdgeLi
                     raise ParseError(f"non-integer weight {parts[2]!r}", lineno) from None
                 if w < 0:
                     raise ParseError(f"negative weight {w}", lineno)
+                if w > _MAX_INT64:
+                    raise ParseError(f"weight {w} exceeds the int64 range", lineno)
                 wts.append(w)
             # Unweighted load tolerates (and drops) a third column.
 

@@ -113,8 +113,13 @@ def route_batch(srcs, dsts, props, *, directed: bool, num_threads: int,
     return out
 
 
-def apply_ops(store, insert: bool, vs, ns, ps, sides) -> None:
-    """Apply one worker's half-op slice in order."""
+def apply_ops(store, insert: bool, vs, ns, ps, sides) -> int:
+    """Apply one worker's half-op slice in order.
+
+    Returns how many weighted inserts overwrote an existing edge's weight;
+    unweighted slices and deletes return 0 without counting.
+    """
+    overwrites = 0
     if insert:
         ih = store.insert_half
         if ps is None:
@@ -123,11 +128,13 @@ def apply_ops(store, insert: bool, vs, ns, ps, sides) -> None:
         else:
             for a, b, pp, s in zip(vs.tolist(), ns.tolist(), ps.tolist(),
                                    sides.tolist()):
-                ih(a, b, pp, s)
+                if not ih(a, b, pp, s):
+                    overwrites += 1
     else:
         dh = store.delete_half
         for a, b, s in zip(vs.tolist(), ns.tolist(), sides.tolist()):
             dh(a, b, s)
+    return overwrites
 
 
 class WorkerSet:
@@ -158,24 +165,28 @@ class WorkerSet:
             if item is None:
                 return
             try:
-                apply_ops(store, *item)
-                self._done.put(None)
+                self._done.put(apply_ops(store, *item))
             except BaseException as exc:  # surfaced by apply()
                 self._done.put(exc)
 
-    def apply(self, insert: bool, routed) -> None:
+    def apply(self, insert: bool, routed) -> int:
+        """Run one routed batch; returns the workers' summed overwrite count."""
         pending = 0
         for w, (vs, ns, ps, sides) in enumerate(routed):
             if len(vs):
                 self._queues[w].put((insert, vs, ns, ps, sides))
                 pending += 1
+        overwrites = 0
         failure = None
         for _ in range(pending):
-            err = self._done.get()
-            if err is not None and failure is None:
-                failure = err
+            res = self._done.get()
+            if isinstance(res, BaseException):
+                failure = failure or res
+            else:
+                overwrites += res
         if failure is not None:
             raise failure
+        return overwrites
 
     def close(self) -> None:
         for q in self._queues:
@@ -281,7 +292,8 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
 
     Analytics run after every batch: incrementally on insert batches once a
     previous result exists (the batch's edges seed the recomputation), from
-    scratch on delete batches, with PageRank always warm-started from the
+    scratch on delete batches and, for sssp, on insert batches that
+    re-weighted an existing edge, with PageRank always warm-started from the
     previous ranks.  Snapshot construction is counted as analytics time.
 
     Returns (reports, summary); with collect_values also a per-batch list of
@@ -322,7 +334,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                 routed = route_batch(srcs, dsts, wts, directed=config.directed,
                                      num_threads=num_threads,
                                      partition_size=config.partition_size)
-                workers.apply(inserting, routed)
+                overwrites = workers.apply(inserting, routed)
                 seconds = perf_counter() - t0
 
                 live = store.live_edges()
@@ -345,7 +357,10 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                         res = run_bfs(snap, source, prev=p,
                                       new_edges=(srcs, dsts) if incr else None)
                     elif name == "sssp":
-                        res = run_sssp(snap, source, prev=p,
+                        # A re-weighted edge may have grown heavier, which
+                        # relaxation from prev cannot see: run in full.
+                        incr = incr and not overwrites
+                        res = run_sssp(snap, source, prev=p if incr else None,
                                        new_edges=(srcs, dsts, wts) if incr else None)
                     elif name == "cc":
                         res = run_cc(snap, prev=p,

@@ -90,6 +90,16 @@ class ProbeStats:
     def snapshot(self) -> dict:
         return {"insert": dict(self.insert), "find": dict(self.find)}
 
+    @classmethod
+    def merged(cls, parts) -> "ProbeStats":
+        """A new ProbeStats holding the summed histograms of parts."""
+        out = cls()
+        for part in parts:
+            for mine, theirs in ((out.insert, part.insert), (out.find, part.find)):
+                for d, c in theirs.items():
+                    mine[d] = mine.get(d, 0) + c
+        return out
+
     def reset(self) -> None:
         self.insert.clear()
         self.find.clear()
@@ -298,6 +308,8 @@ class CfhTable:
                     st[dist] = st.get(dist, 0) + 1
                     return False
         self.last_probe_distance = dist
+        st = self.stats.find
+        st[dist] = st.get(dist, 0) + 1
         return False
 
     def rebuild(self, new_capacity_slots: int | None = None) -> None:

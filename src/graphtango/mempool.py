@@ -186,6 +186,23 @@ class MemoryPool:
         word = (addr & _OFF_MASK) >> 3
         return block.u64[word:word + nwords]
 
+    def gather(self, addrs: np.ndarray) -> np.ndarray:
+        """uint64 word at each byte address in addrs, an ascending int64 array.
+
+        The vectorized counterpart of u64_view. Ascending addresses come
+        grouped by block, so each block serves one run with one numpy gather.
+        """
+        ends = np.searchsorted(addrs, np.arange(2, len(self._blocks) + 2) << _ADDR_SHIFT)
+        out = np.empty(len(addrs), dtype=np.uint64)
+        lo = 0
+        for block, hi in zip(self._blocks, ends.tolist()):
+            if hi > lo:
+                words = addrs[lo:hi] & _OFF_MASK
+                words >>= 3
+                np.take(block.u64, words, out=out[lo:hi])
+            lo = hi
+        return out
+
     def real_pointer(self, addr: int) -> int:
         """Machine address of a chunk, for alignment checks."""
         block = self._block_of(addr)

@@ -94,8 +94,9 @@ class TangoStore:
         self._sides = [_Side(num_vertices, self._line_words)]
         if config.directed:
             self._sides.append(_Side(num_vertices, self._line_words))
-        self.vprop = np.zeros(num_vertices, dtype=np.uint64)
-        self.stats = ProbeStats()
+        # One histogram set per pool partition: a partition's tables are only
+        # touched by its owner worker, so no two threads update one dict.
+        self._probe = [ProbeStats() for _ in range(num_threads)]
         self.resize_copies = 0  # edges copied by grows, shrinks, type switches
         self.tracker = None
 
@@ -134,9 +135,10 @@ class TangoStore:
         """Attach a dst -> index hash at 2 x cap slots covering deg edges."""
         mf = side.meta
         cap = mf.item(base + _CAP)
-        tbl = CfhTable(2 * cap, pool=self._pool_of(v),
+        part = partition_of(v, self.num_threads, self._psize)
+        tbl = CfhTable(2 * cap, pool=self.pools[part],
                        slots_per_line=self.config.cache_line_bytes // 8,
-                       multiplier=self.config.hash_constant, stats=self.stats)
+                       multiplier=self.config.hash_constant, stats=self._probe[part])
         tbl.tracker = self.tracker
         view = side.views[v]
         step = self._ew
@@ -456,6 +458,60 @@ class TangoStore:
         out.flags.writeable = False
         return out
 
+    def csr(self, side: int = OUT, with_weights: bool = False):
+        """One side as CSR arrays: (indptr, indices, weights or None).
+
+        Rows keep storage order, so the arrays equal a walk of neighbors()
+        and neighbor_props(): int64 indices, float64 weights. A vertex's
+        edge words start in its own meta line (Type1) or at the chunk handle
+        held there (Type2/3); one numpy gather per meta array or pool block
+        reads them all. Hash tables are never touched.
+        """
+        V, L, step = self.num_vertices, self._line_words, 8 * self._ew
+        meta = self._sides[side].meta
+        lines = meta.reshape(V, L)
+        deg = lines[:, _DEG].astype(np.int64)
+        indptr = np.zeros(V + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        total = int(indptr[-1])
+        # Byte address of each row's first edge word, and the buffer that
+        # holds it: 0 for the meta array, p + 1 for pool p.
+        inline = deg <= self.th0
+        start = np.where(inline, np.arange(8, 8 * V * L, 8 * L),
+                         lines[:, _EDGES].astype(np.int64))
+        buf = np.where(inline, 0, np.arange(V) // self._psize % self.num_threads + 1)
+        # Visit rows by buffer, then by address, so each buffer reads one
+        # run of ascending addresses; pos puts every edge back in row order.
+        rows = np.lexsort((start, buf))
+        cnt = deg[rows]
+        lead = np.cumsum(cnt) - cnt  # visit-order index of each row's first edge
+        # In-place steps keep the edge-sized temporaries few; each one pushes
+        # the interpreter's working set out of cache before the next batch.
+        j = np.arange(total, dtype=np.int64)  # each edge's index in visit order
+        pos = np.repeat(indptr[rows] - lead, cnt)
+        pos += j
+        at = np.repeat(start[rows] - step * lead, cnt)
+        j *= step
+        at += j
+        cuts = np.zeros(self.num_threads + 2, dtype=np.int64)
+        np.cumsum(np.bincount(buf, deg, self.num_threads + 1).astype(np.int64),
+                  out=cuts[1:])
+        indices = np.empty(total, dtype=np.int64)
+        weights = np.empty(total, dtype=np.float64) if with_weights else None
+        for b, (lo, hi) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
+            if lo == hi:
+                continue
+            a, p = at[lo:hi], pos[lo:hi]
+            if b == 0:
+                indices[p] = meta[a >> 3]
+                if with_weights:
+                    weights[p] = meta[(a >> 3) + 1]
+            else:
+                indices[p] = self.pools[b - 1].gather(a)
+                if with_weights:
+                    weights[p] = self.pools[b - 1].gather(a + 8)
+        return indptr, indices, weights
+
     def get_edge_prop(self, src: int, dst: int) -> int | None:
         """Property of edge (src, dst), or None if absent (weighted stores)."""
         nbrs = self.neighbors(src)
@@ -484,11 +540,15 @@ class TangoStore:
         return total / 2 if not self.directed else float(total)
 
     def memory_bytes(self) -> int:
-        """Bytes the native layout occupies: meta lines + vprop + pool chunks."""
+        """Bytes the native layout occupies: meta lines + pool chunks."""
         b = self.num_vertices * self.config.cache_line_bytes * len(self._sides)
-        b += self.vprop.nbytes
         b += sum(p.bytes_in_use for p in self.pools)
         return b
+
+    @property
+    def stats(self) -> ProbeStats:
+        """Probe histograms summed over every partition (a fresh copy)."""
+        return ProbeStats.merged(self._probe)
 
     def probe_stats(self) -> dict:
         return self.stats.snapshot()

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.sparse import csgraph
 
 from graphtango.analytics import (
@@ -13,9 +15,10 @@ from graphtango.analytics import (
     run_pr,
     run_sssp,
 )
-from graphtango.baseline import AdListChunked
+from graphtango.baseline import AdListChunked, AdListShared
+from graphtango.bench.data import gen_synthetic, shuffle
 from graphtango.core import Config, VertexRangeError
-from graphtango.store import TangoStore
+from graphtango.store import IN, OUT, TangoStore
 
 
 def random_graph(V, E, seed, weighted=False, directed=False):
@@ -181,6 +184,107 @@ def test_snapshot_shapes_and_formats_agree():
     assert np.array_equal(ga.values, gb.values)
     ca, cb = run_cc(sa), run_cc(sb)
     assert np.array_equal(ca.values, cb.values)
+
+
+# -- csr export vs the per-vertex cursors -----------------------------------------
+
+
+def walk_csr(store, side, with_weights):
+    """The export rebuilt from one neighbors()/neighbor_props() call per vertex."""
+    V = store.num_vertices
+    rows = [store.neighbors(v, side) for v in range(V)]
+    indptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    none = [np.empty(0, dtype=np.uint64)]
+    indices = np.concatenate(none + rows).astype(np.int64)
+    weights = None
+    if with_weights:
+        props = [store.neighbor_props(v, side) for v in range(V)]
+        weights = np.concatenate(none + props).astype(np.float64)
+    return indptr, indices, weights
+
+
+def assert_export_matches_walk(store):
+    for side in ((OUT, IN) if store.directed else (OUT,)):
+        for with_weights in {False, store.weighted}:
+            got = store.csr(side, with_weights)
+            want = walk_csr(store, side, with_weights)
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                else:
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def small_config(weighted, directed):
+    # th1 = 8 puts Type3 within reach of a 48-vertex graph; 4 KiB blocks
+    # make the pools carve several; 8-vertex partitions spread 2 threads.
+    return Config(weighted=weighted, directed=directed, th1=8,
+                  block_bytes=4096, partition_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cls=hs.sampled_from([TangoStore, AdListChunked, AdListShared]),
+       weighted=hs.booleans(), directed=hs.booleans(),
+       threads=hs.sampled_from([1, 2]),
+       ops=hs.lists(hs.tuples(hs.integers(0, 3),
+                              hs.one_of(hs.integers(0, 3), hs.integers(0, 47)),
+                              hs.integers(0, 47), hs.integers(0, 99)),
+                    max_size=500))
+def test_csr_export_matches_neighbor_walk(cls, weighted, directed, threads, ops):
+    store = cls(small_config(weighted, directed), 48, threads)
+    for kind, u, v, w in ops:  # three inserts to one delete, hubs 0..3 favored
+        if kind:
+            store.insert_edge(u, v, w if weighted else None)
+        else:
+            store.delete_edge(u, v)
+    assert_export_matches_walk(store)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_csr_export_through_every_layout_change(weighted, threads):
+    cfg = small_config(weighted, True)
+    store = TangoStore(cfg, 64, threads)
+    hubs = (1, 9)  # partitions 0 and 1: separate pools with two threads
+    top = cfg.th1 + 2  # passes th0, th0 + 1, th1 and th1 + 1 both ways
+    for d in range(top):
+        for h in hubs:
+            store.insert_edge(h, 30 + d, 5 * d + h if weighted else None)
+        assert_export_matches_walk(store)
+    assert all(p.stats()["num_blocks"] > 1 for p in store.pools)
+    for d in range(top):  # delete oldest first: swaps reorder the rows
+        for h in hubs:
+            store.delete_edge(h, 30 + d)
+        assert_export_matches_walk(store)
+    assert store.stored_edges(OUT) == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_csr_export_over_many_blocks(weighted, threads):
+    # Shuffled inserts spread each pool's chunks over many 4 KiB blocks, in
+    # an order unrelated to vertex order.
+    el = shuffle(gen_synthetic("short", 300, 3000, seed=8, weighted=weighted), 8)
+    store = TangoStore(small_config(weighted, False), 300, threads)
+    wts = el.weights.tolist() if weighted else [None] * el.num_edges
+    for u, v, w in zip(el.srcs.tolist(), el.dsts.tolist(), wts):
+        store.insert_edge(u, v, w)
+    assert min(p.stats()["num_blocks"] for p in store.pools) >= 4
+    assert_export_matches_walk(store)
+    for u, v in zip(el.srcs[::3].tolist(), el.dsts[::3].tolist()):
+        store.delete_edge(u, v)
+    assert_export_matches_walk(store)
+
+
+@pytest.mark.parametrize("cls", [TangoStore, AdListChunked, AdListShared])
+@pytest.mark.parametrize("V", [0, 5])
+def test_csr_export_of_empty_store(cls, V):
+    store = cls(Config(weighted=True, directed=True), V)
+    assert_export_matches_walk(store)
+    indptr, indices, weights = store.csr(IN, True)
+    assert indptr.tolist() == [0] * (V + 1)
+    assert indices.dtype == np.int64 and weights.dtype == np.float64
 
 
 @pytest.mark.parametrize("directed", [False, True])

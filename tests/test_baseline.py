@@ -49,7 +49,7 @@ def test_directed_sides():
     assert store.neighbors(3).tolist() == [8]
     assert store.neighbors(8).tolist() == []
     assert store.in_neighbors(8).tolist() == [3]
-    base_overhead = 20 * 32 + 20 * 8  # two sides of (ptr + deg) plus vprop
+    base_overhead = 20 * 32  # two sides of (ptr + deg)
     # the edge allocated 4 slots on the out side and 4 on the in side
     assert store.memory_bytes() == base_overhead + 2 * 4 * 8
 

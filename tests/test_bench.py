@@ -1,9 +1,12 @@
 """Dataset loading/generation, the batched harness, and report emission."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from graphtango import Config, ParseError, TangoStore
 from graphtango.bench.cli import main
@@ -193,6 +196,19 @@ def test_routed_apply_keeps_mirror_props_consistent():
     assert store.live_edges() == 1
 
 
+def test_worker_apply_counts_weighted_overwrites():
+    store = TangoStore(Config(weighted=True), 10, num_threads=2)
+    ws = WorkerSet(store, 2)
+    try:
+        batch = (np.array([1, 1, 2]), np.array([2, 2, 3]), np.array([5, 7, 1]))
+        routed = route_batch(*batch, directed=False, num_threads=2, partition_size=8)
+        assert ws.apply(True, routed) == 2  # both halves of the repeated (1, 2)
+        assert ws.apply(True, routed) == 6
+        assert ws.apply(False, routed) == 0
+    finally:
+        ws.close()
+
+
 def test_worker_errors_surface():
     store = TangoStore(Config(), 4, num_threads=1)
     ws = WorkerSet(store, 1)
@@ -301,6 +317,62 @@ def test_experiment_deterministic_across_runs():
     for x, y in zip(va, vb):
         for k in x:
             assert np.array_equal(x[k], y[k])
+
+
+def test_experiment_probe_hists_independent_of_thread_count():
+    # Each vertex sees the same op order under any thread count, so every
+    # batch's probe histograms must match the single-threaded run's.
+    # Three workers and a tiny switch interval interleave the threads often
+    # enough for a lost histogram update to show within one run.
+    el = shuffle(gen_synthetic("heavy", 3000, 30000, seed=7), 7)
+    hists = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 3):
+            reports, _ = run_experiment(el, "tango", algorithms=(), batch_size=1000,
+                                        num_threads=threads)
+            hists.append([(r.probe_insert, r.probe_find) for r in reports])
+    finally:
+        sys.setswitchinterval(interval)
+    assert hists[0] == hists[1]
+    assert sum(sum(ins.values()) for ins, _ in hists[0]) > 1000
+
+
+def sssp_reference(el, reports, batch_size):
+    """Per-batch scipy distances on the live edge set, last writer wins."""
+    live = {}
+    out = []
+    for r in reports:
+        lo = r.index * batch_size
+        srcs, dsts, wts = el.slice(lo, lo + r.edges)
+        for u, v, w in zip(srcs.tolist(), dsts.tolist(), wts.tolist()):
+            key = (u, v) if el.directed else (min(u, v), max(u, v))
+            if r.phase == "insert":
+                live[key] = w
+            else:
+                live.pop(key, None)
+        rows = [(u, v, w) for (u, v), w in live.items()]
+        if not el.directed:
+            rows += [(v, u, w) for u, v, w in rows if u != v]
+        u, v, w = (np.array(c, dtype=np.int64) for c in zip(*rows)) if rows else ([], [], [])
+        m = csr_matrix((np.asarray(w, dtype=np.float64), (u, v)),
+                       shape=(el.num_vertices, el.num_vertices))
+        out.append(dijkstra(m, directed=True, indices=0))
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("directed", [False, True])
+def test_experiment_sssp_exact_on_reweighted_stream(directed, threads):
+    # 900 draws over 60 vertices repeat many edges with fresh weights.
+    el = shuffle(gen_synthetic("short", 60, 900, seed=3, weighted=True,
+                               directed=directed), 3)
+    reports, _, vals = run_experiment(el, "tango", algorithms=("sssp",),
+                                      batch_size=60, num_threads=threads,
+                                      collect_values=True)
+    for r, got, want in zip(reports, vals, sssp_reference(el, reports, 60)):
+        assert np.array_equal(got["sssp"], want), (r.phase, r.index)
 
 
 def test_experiment_directed_with_cc():
@@ -466,6 +538,14 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
                "--config", str(cfgf), "--th1", "16", "--algorithms", ""])
     assert rc == 0
     assert "th1=16" in capsys.readouterr().out  # flag beats file
+
+
+def test_cli_weight_beyond_int64_exits_2(tmp_path, capsys):
+    snap = write(tmp_path, "0 1 4\n1 2 99999999999999999999\n")
+    rc = main(["--input", str(snap), "--weighted", "--algorithms", "sssp"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "int64" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -126,6 +126,15 @@ def test_probe_stats_recording():
     t.release()
 
 
+def test_remove_records_exhausted_walk_like_find():
+    t = CfhTable(16)
+    t._keys.fill(TOMBSTONE_KEY)  # no empty slot: every walk runs out
+    assert t.find(5) is None
+    assert t.remove(5) is False
+    assert t.probe_stats()["find"] == {16: 2}
+    t.release()
+
+
 def test_dict_oracle_equivalence():
     rng = random.Random(1234)
     t = CfhTable(256)

@@ -115,6 +115,22 @@ def test_views_share_memory():
     pool.close()
 
 
+def test_gather_reads_words_across_blocks():
+    pool = MemoryPool(block_bytes=PAGE_BYTES)
+    chunks = [pool.allocate(64) for _ in range(3 * PAGE_BYTES // 64)]
+    chunks.append(pool.allocate(128))  # a block of another class
+    assert pool.stats()["num_blocks"] == 4
+    words = {}
+    for i, c in enumerate(chunks):
+        pool.u64_view(c, 8)[:] = np.arange(8, dtype=np.uint64) + 100 * i
+        words.update({c + 8 * j: 100 * i + j for j in (0, 3, 7)})
+    addrs = sorted(words)
+    got = pool.gather(np.array(addrs, dtype=np.int64))
+    assert got.dtype == np.uint64 and got.tolist() == [words[a] for a in addrs]
+    assert pool.gather(np.empty(0, dtype=np.int64)).tolist() == []
+    pool.close()
+
+
 def test_chunk_alignment():
     pool = MemoryPool(debug=True)
     for size in (8, 64, 128, 4096, 1 << 16):

@@ -272,15 +272,15 @@ def test_resize_copy_counter_exact():
 def test_memory_accounting():
     V = 64
     store = make_store(V=V)
-    assert store.memory_bytes() == V * 64 + V * 8
+    assert store.memory_bytes() == V * 64
     store.insert_edge(0, 1)
-    assert store.memory_bytes() == V * 64 + V * 8  # inline edges cost nothing
+    assert store.memory_bytes() == V * 64  # inline edges cost nothing
     for k in range(2, 12):
         store.insert_half(0, k)
     assert pool_bytes(store) == 16 * 8  # one chunk of cap 16
-    assert store.memory_bytes() == V * 64 + V * 8 + 128
+    assert store.memory_bytes() == V * 64 + 128
     d = make_store(V=V, directed=True)
-    assert d.memory_bytes() == V * 128 + V * 8
+    assert d.memory_bytes() == V * 128
 
 
 def test_line_touches_of_type3_insert():
@@ -312,6 +312,22 @@ def test_probe_stats_exposed():
     assert sum(snap["insert"].values()) > 200  # hash-backed appends recorded
     mean = sum(d * c for d, c in snap["insert"].items()) / sum(snap["insert"].values())
     assert mean < 2.0
+
+
+def test_probe_stats_kept_per_partition_and_merged():
+    store = make_store(V=4000, num_threads=2)  # 512-vertex partitions
+    hubs = (1, 600)  # owned by workers 0 and 1
+    for h in hubs:
+        for k in range(40):
+            store.insert_half(h, 1000 + k)
+    t0, t1 = (store._sides[OUT].tables[h] for h in hubs)
+    assert t0.stats is not t1.stats  # no dict shared between two workers
+    total = {}
+    for t in (t0, t1):
+        for d, c in t.stats.insert.items():
+            total[d] = total.get(d, 0) + c
+    assert store.probe_stats()["insert"] == total
+    assert store.stats.snapshot() == store.probe_stats()
 
 
 # -- differential check against a dict model -----------------------------------
