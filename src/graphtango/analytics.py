@@ -7,10 +7,11 @@ runs the requested kernels on plain numpy arrays.
 BFS, SSSP, and connected components share one engine: iterative
 minimum-relaxation over a frontier. Each round gathers every out-edge of
 the frontier, forms candidate values (parent value + edge cost: the weight
-for SSSP, 1 for BFS, 0 for component labels), scatter-mins them into the
-value array, and the improved vertices become the next frontier. With
-non-negative costs the fixed point is exact regardless of evaluation
-order, so results are deterministic and independent of thread count.
+for SSSP, 1 for BFS, 0 for component labels), min-reduces them into the
+value array with np.minimum.at (no sort), and the vertices whose value
+dropped become the next frontier. With non-negative costs the fixed point
+is exact regardless of evaluation order, so results are deterministic and
+independent of thread count.
 
 The same monotonicity gives incremental recomputation after insert-only
 batches: previous values are a valid upper bound, so relaxation seeded
@@ -73,30 +74,32 @@ def build_snapshot(store, need_in: bool = False) -> Snapshot:
 # -- shared relaxation engine ---------------------------------------------------
 
 
-def _gather(indptr, indices, frontier):
-    """Flat edge targets of the frontier rows plus a per-edge source map."""
+def _gather(indptr, frontier):
+    """Edge positions of the frontier rows, row after row, and each row's
+    edge count."""
     starts = indptr[frontier]
     cnts = indptr[frontier + 1] - starts
-    total = int(cnts.sum())
-    if total == 0:
-        return None, None
-    offs = np.cumsum(cnts) - cnts
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offs, cnts) + np.repeat(starts, cnts)
-    return flat, np.repeat(frontier, cnts)
+    flat = np.repeat(starts - (np.cumsum(cnts) - cnts), cnts)
+    flat += np.arange(len(flat), dtype=np.int64)
+    return flat, cnts
 
 
-def _scatter_min(values, cand_dst, cand_val):
-    """Min-reduce candidates per destination; return the improved vertices."""
-    order = np.argsort(cand_dst, kind="stable")
-    sd = cand_dst[order]
-    sv = cand_val[order]
-    group_starts = np.r_[0, np.nonzero(np.diff(sd))[0] + 1]
-    mins = np.minimum.reduceat(sv, group_starts)
-    dsts = sd[group_starts]
-    better = mins < values[dsts]
-    improved = dsts[better]
-    values[improved] = mins[better]
-    return improved
+def _relax_round(csrs, values, frontier, before):
+    """One round: min-reduce every frontier edge's candidate into values and
+    return the vertices whose value dropped, sorted and unique.
+
+    Candidates all read the values of round start (snapshotted into the
+    V-sized buffer before); np.minimum.at applies them part by part, since
+    a minimum does not depend on order.
+    """
+    np.copyto(before, values)
+    base = values[frontier]
+    for indptr, indices, cost in csrs:
+        flat, cnts = _gather(indptr, frontier)
+        cand = np.repeat(base, cnts)
+        cand += cost[flat] if isinstance(cost, np.ndarray) else cost
+        np.minimum.at(values, indices[flat], cand)
+    return np.flatnonzero(values < before)
 
 
 def _min_relax(csrs, values, frontier) -> int:
@@ -104,25 +107,13 @@ def _min_relax(csrs, values, frontier) -> int:
     where cost is an edge-aligned array or a scalar. Returns rounds run."""
     rounds = 0
     limit = len(values) + 1
+    before = np.empty_like(values)
     frontier = np.unique(np.asarray(frontier, dtype=np.int64))
     while frontier.size:
         rounds += 1
         if rounds > limit:
             raise RuntimeError("relaxation failed to converge; negative cost?")
-        parts_dst = []
-        parts_val = []
-        for indptr, indices, cost in csrs:
-            flat, src = _gather(indptr, indices, frontier)
-            if flat is None:
-                continue
-            parts_dst.append(indices[flat])
-            add = cost[flat] if isinstance(cost, np.ndarray) else cost
-            parts_val.append(values[src] + add)
-        if not parts_dst:
-            break
-        cand_dst = parts_dst[0] if len(parts_dst) == 1 else np.concatenate(parts_dst)
-        cand_val = parts_val[0] if len(parts_val) == 1 else np.concatenate(parts_val)
-        frontier = _scatter_min(values, cand_dst, cand_val)
+        frontier = _relax_round(csrs, values, frontier, before)
     return rounds
 
 
@@ -131,22 +122,17 @@ def _seed_from_edges(values, srcs, dsts, costs, symmetric: bool):
 
     symmetric relaxes each edge in both directions, for snapshots that store
     an undirected graph (or label propagation, which ignores direction).
+    Every candidate is read before any is applied.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
-    if srcs.size == 0:
-        return np.empty(0, dtype=np.int64)
+    before = values.copy()
+    fwd = values[srcs] + costs
+    rev = values[dsts] + costs if symmetric else None
+    np.minimum.at(values, dsts, fwd)
     if symmetric:
-        srcs, dsts = np.concatenate([srcs, dsts]), np.concatenate([dsts, srcs])
-        if isinstance(costs, np.ndarray):
-            costs = np.concatenate([costs, costs])
-    cand = values[srcs] + costs
-    finite = cand < np.inf
-    if not finite.all():
-        cand, dsts = cand[finite], dsts[finite]
-    if dsts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return _scatter_min(values, dsts, cand)
+        np.minimum.at(values, srcs, rev)
+    return np.flatnonzero(values < before)
 
 
 # -- kernels ---------------------------------------------------------------------

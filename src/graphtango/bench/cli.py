@@ -10,6 +10,7 @@ from .data import gen_synthetic, load_snap, shuffle
 from .harness import (
     DEFAULT_BATCH_SIZE,
     FORMATS,
+    MAX_THREADS,
     emit_report,
     emit_sweep_report,
     run_experiment,
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                    metavar="N", help=f"edges per batch (default {DEFAULT_BATCH_SIZE})")
     p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="update worker threads (default 1)")
+                   help=f"update worker threads, at most {MAX_THREADS} (default 1)")
     p.add_argument("--seed", type=int, default=42, metavar="N",
                    help="seed for generation and shuffling (default 42)")
     p.add_argument("--th1", type=int, default=None, metavar="N",

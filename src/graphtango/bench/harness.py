@@ -40,6 +40,13 @@ DEFAULT_SOURCE = 0
 # Threshold values exercised by sweep mode.
 TH1_SWEEP = (8, 16, 32, 64, 128, 256, 512)
 
+# Upper bound on update worker threads, checked before any starts. Each is
+# an OS thread, and under the GIL more of them add no update throughput.
+MAX_THREADS = 64
+
+# float64 holds every integer up to 2^53 exactly; sssp distances are float64.
+MAX_EXACT_WEIGHT = 2**53
+
 
 def make_store(fmt: str, config: Config, num_vertices: int,
                num_threads: int = 1, debug: bool = False):
@@ -210,6 +217,8 @@ class BatchReport:
     memory_bytes: int
     snapshot_seconds: float
     algo_seconds: dict = field(default_factory=dict)
+    algo_rounds: dict = field(default_factory=dict)    # KernelResult.rounds
+    algo_modes: dict = field(default_factory=dict)     # "full" | "incremental"
     probe_insert: dict = field(default_factory=dict)   # per-batch histogram delta
     probe_find: dict = field(default_factory=dict)
 
@@ -310,8 +319,13 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
             raise ValueError(f"unknown algorithm {name!r}; expected one of {KERNELS}")
     if "sssp" in algorithms and not el.weighted:
         raise ValueError("sssp requires a weighted edge list")
+    if "sssp" in algorithms and el.num_edges and el.weights.max() > MAX_EXACT_WEIGHT:
+        raise ValueError(f"sssp needs weights <= 2^53 (float64 distances round "
+                         f"larger ones); the edge list holds {el.weights.max()}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if num_threads > MAX_THREADS:
+        raise ValueError(f"num_threads {num_threads} exceeds MAX_THREADS {MAX_THREADS}")
 
     store = make_store(fmt, config, el.num_vertices, num_threads, debug=debug)
     workers = WorkerSet(store, num_threads)
@@ -347,7 +361,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                     snap = build_snapshot(store, need_in=need_in)
                     snapshot_seconds = perf_counter() - s0
 
-                algo_seconds = {}
+                algo_seconds, algo_rounds, algo_modes = {}, {}, {}
                 batch_values = {}
                 for name in algorithms:
                     p = prev.get(name)
@@ -368,6 +382,8 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                     else:
                         res = run_pr(snap, prev=p)
                     algo_seconds[name] = perf_counter() - a0
+                    algo_rounds[name] = res.rounds
+                    algo_modes[name] = res.mode
                     prev[name] = res.values
                     if collect_values:
                         batch_values[name] = res.values
@@ -384,6 +400,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                     index=bi, phase=phase, edges=hi - lo, seconds=seconds,
                     live_edges=live, memory_bytes=mem,
                     snapshot_seconds=snapshot_seconds, algo_seconds=algo_seconds,
+                    algo_rounds=algo_rounds, algo_modes=algo_modes,
                     probe_insert=probe_insert, probe_find=probe_find,
                 ))
                 if collect_values:
@@ -439,6 +456,8 @@ REPORT_COLUMNS = (
     "probe_insert_hist", "probe_find_hist",
     "insert_geomean_eps", "delete_geomean_eps", "analytics_geomean_eps",
     "mean_bytes_per_edge", "total_seconds",
+    "bfs_rounds", "pr_rounds", "sssp_rounds", "cc_rounds",
+    "bfs_mode", "pr_mode", "sssp_mode", "cc_mode",
 )
 
 SWEEP_COLUMNS = (
@@ -496,7 +515,7 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
                 _num(r.live_edges), r.memory_bytes, _num(r.bytes_per_edge),
                 _num(r.snapshot_seconds),
             ]
-            for algo in ("bfs", "pr", "sssp", "cc"):
+            for algo in KERNELS:
                 t = r.algo_seconds.get(algo)
                 row.append("" if t is None else _num(t))
             row += [
@@ -504,6 +523,8 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
                 _fmt_hist(r.probe_insert), _fmt_hist(r.probe_find),
                 "", "", "", "", "",
             ]
+            row += [r.algo_rounds.get(algo, "") for algo in KERNELS]
+            row += [r.algo_modes.get(algo, "") for algo in KERNELS]
             writer.writerow(row)
         srow = ["summary", "summary", 2 * summary.num_edges] + [""] * 14
         srow += [
@@ -511,7 +532,7 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
             _num(summary.analytics_geomean_eps), _num(summary.mean_bytes_per_edge),
             _num(summary.total_seconds),
         ]
-        writer.writerow(srow)
+        writer.writerow(srow + [""] * (2 * len(KERNELS)))
 
 
 def emit_sweep_report(rows, path, *, report_format: str = "csv",

@@ -134,8 +134,8 @@ class CfhTable:
 
     __slots__ = ("pool", "capacity_slots", "m_lines", "n_slots", "multiplier",
                  "key_bits", "live_count", "tombstone_count", "stats", "tracker",
-                 "last_probe_distance", "_own_pool", "_log_n", "_kmask", "_chunk",
-                 "_keys", "_vals", "_shift3", "_shift4")
+                 "_own_pool", "_log_n", "_kmask", "_chunk", "_keys", "_vals",
+                 "_shift3", "_shift4")
 
     def __init__(self, capacity_slots: int, *, pool: MemoryPool | None = None,
                  slots_per_line: int = 8, multiplier: int = HASH_CONSTANT_64,
@@ -151,7 +151,6 @@ class CfhTable:
         self.key_bits = key_bits
         self.stats = ProbeStats() if stats is None else stats
         self.tracker = None
-        self.last_probe_distance = 0
         self._kmask = (1 << key_bits) - 1
         self.live_count = 0
         self.tombstone_count = 0
@@ -197,16 +196,13 @@ class CfhTable:
                 dist += 1
                 k = keys_item(slot)
                 if k == key:
-                    self.last_probe_distance = dist
                     st = self.stats.find
                     st[dist] = st.get(dist, 0) + 1
                     return self._vals.item(slot)
                 if k == EMPTY_KEY:
-                    self.last_probe_distance = dist
                     st = self.stats.find
                     st[dist] = st.get(dist, 0) + 1
                     return None
-        self.last_probe_distance = dist
         st = self.stats.find
         st[dist] = st.get(dist, 0) + 1
         return None
@@ -272,7 +268,6 @@ class CfhTable:
             self.rebuild(self.capacity_slots)
 
     def _record_insert(self, dist: int) -> None:
-        self.last_probe_distance = dist
         st = self.stats.insert
         st[dist] = st.get(dist, 0) + 1
 
@@ -298,16 +293,13 @@ class CfhTable:
                     self._keys[slot] = TOMBSTONE_KEY
                     self.live_count -= 1
                     self.tombstone_count += 1
-                    self.last_probe_distance = dist
                     st = self.stats.find
                     st[dist] = st.get(dist, 0) + 1
                     return True
                 if k == EMPTY_KEY:
-                    self.last_probe_distance = dist
                     st = self.stats.find
                     st[dist] = st.get(dist, 0) + 1
                     return False
-        self.last_probe_distance = dist
         st = self.stats.find
         st[dist] = st.get(dist, 0) + 1
         return False

@@ -23,9 +23,6 @@ DEFAULT_BLOCK_BYTES = 4 * 1024 * 1024
 # (dst + 64-bit property).
 DEG_BYTES = 8
 
-# Vertex ids must stay clear of the two reserved hash-table markers.
-MAX_VERTEX_ID = 2**64 - 3
-
 # Crossover length for neighbor membership scans: a python-list walk beats
 # the numpy ufunc by ~5x below this, loses above. Shared by the hybrid store
 # and the baselines so throughput comparisons measure layout, not scan idiom.

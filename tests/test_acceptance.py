@@ -376,20 +376,20 @@ def bench_matrix():
     for kind in ("heavy", "short"):
         el = shuffle(gen_synthetic(kind, BENCH_V, BENCH_E, 42), 42)
         out[kind, "max_batch_degree"] = _batch_max_degree(el)
-        for fmt in ("tango", "adlist-shared", "adlist-chunked"):
-            upd, ana, bpe = [], [], []
-            for _ in range(3):
+        formats = ("tango", "adlist-shared", "adlist-chunked")
+        runs = {fmt: {"update": [], "analytics": [], "bytes_per_edge": []}
+                for fmt in formats}
+        # Repeats interleave the formats (ABCABC) so host drift hits each alike.
+        for _ in range(3):
+            for fmt in formats:
                 reports, summary = run_experiment(
                     el, fmt, config=cfg, algorithms=("bfs", "pr"),
                     batch_size=BENCH_BATCH, num_threads=BENCH_THREADS, source=0)
-                upd.append(geomean([r.edges_per_s for r in reports]))
-                ana.append(summary.analytics_geomean_eps)
-                bpe.append(summary.mean_bytes_per_edge)
-            out[kind, fmt] = {
-                "update": statistics.median(upd),
-                "analytics": statistics.median(ana),
-                "bytes_per_edge": statistics.median(bpe),
-            }
+                runs[fmt]["update"].append(geomean([r.edges_per_s for r in reports]))
+                runs[fmt]["analytics"].append(summary.analytics_geomean_eps)
+                runs[fmt]["bytes_per_edge"].append(summary.mean_bytes_per_edge)
+        for fmt in formats:
+            out[kind, fmt] = {k: statistics.median(v) for k, v in runs[fmt].items()}
     return out
 
 

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.sparse import csgraph
 
+from graphtango import analytics
 from graphtango.analytics import (
     UNREACHABLE,
+    _relax_round,
+    _seed_from_edges,
     build_snapshot,
     run_bfs,
     run_cc,
@@ -17,6 +20,7 @@ from graphtango.analytics import (
 )
 from graphtango.baseline import AdListChunked, AdListShared
 from graphtango.bench.data import gen_synthetic, shuffle
+from graphtango.bench.harness import run_experiment
 from graphtango.core import Config, VertexRangeError
 from graphtango.store import IN, OUT, TangoStore
 
@@ -378,3 +382,162 @@ def test_deterministic_results():
     assert np.array_equal(a1.values, a2.values)
     p1, p2 = run_pr(snap), run_pr(snap)
     assert np.array_equal(p1.values, p2.values)  # bitwise equal must hold
+
+
+# -- relaxation engine against the sort-based oracle ---------------------------
+# The engine's former form: candidates concatenated over CSR parts, grouped
+# per destination by a stable argsort, min-reduced with reduceat. The engine
+# must match it bit for bit on values, frontiers and round counts.
+
+
+def oracle_gather(indptr, frontier):
+    starts = indptr[frontier]
+    cnts = indptr[frontier + 1] - starts
+    total = int(cnts.sum())
+    if total == 0:
+        return None, None
+    offs = np.cumsum(cnts) - cnts
+    flat = np.arange(total, dtype=np.int64) - np.repeat(offs, cnts) + np.repeat(starts, cnts)
+    return flat, np.repeat(frontier, cnts)
+
+
+def oracle_scatter_min(values, cand_dst, cand_val):
+    order = np.argsort(cand_dst, kind="stable")
+    sd = cand_dst[order]
+    sv = cand_val[order]
+    group_starts = np.r_[0, np.nonzero(np.diff(sd))[0] + 1]
+    mins = np.minimum.reduceat(sv, group_starts)
+    dsts = sd[group_starts]
+    better = mins < values[dsts]
+    improved = dsts[better]
+    values[improved] = mins[better]
+    return improved
+
+
+def oracle_round(csrs, values, frontier):
+    """One round of the former engine; None when the frontier has no edges."""
+    parts_dst, parts_val = [], []
+    for indptr, indices, cost in csrs:
+        flat, src = oracle_gather(indptr, frontier)
+        if flat is None:
+            continue
+        parts_dst.append(indices[flat])
+        add = cost[flat] if isinstance(cost, np.ndarray) else cost
+        parts_val.append(values[src] + add)
+    if not parts_dst:
+        return None
+    return oracle_scatter_min(values, np.concatenate(parts_dst),
+                              np.concatenate(parts_val))
+
+
+def oracle_min_relax(csrs, values, frontier):
+    rounds = 0
+    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
+    while frontier.size:
+        rounds += 1
+        frontier = oracle_round(csrs, values, frontier)
+        if frontier is None:
+            break
+    return rounds
+
+
+def oracle_seed_from_edges(values, srcs, dsts, costs, symmetric):
+    srcs = np.asarray(srcs, dtype=np.int64)
+    dsts = np.asarray(dsts, dtype=np.int64)
+    if srcs.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if symmetric:
+        srcs, dsts = np.concatenate([srcs, dsts]), np.concatenate([dsts, srcs])
+        if isinstance(costs, np.ndarray):
+            costs = np.concatenate([costs, costs])
+    cand = values[srcs] + costs
+    finite = cand < np.inf
+    cand, dsts = cand[finite], dsts[finite]
+    if dsts.size == 0:
+        return np.empty(0, dtype=np.int64)
+    return oracle_scatter_min(values, dsts, cand)
+
+
+# Small values make candidates tie with the current value; inf marks
+# unreached vertices.
+engine_values = hs.lists(hs.one_of(hs.just(np.inf), hs.integers(0, 6).map(float)),
+                         min_size=1, max_size=12)
+
+
+@hs.composite
+def csr_part(draw, V):
+    """One CSR over V rows: empty rows and repeated destinations allowed,
+    cost a scalar or one small integer per edge."""
+    rows = draw(hs.lists(hs.lists(hs.integers(0, V - 1), max_size=6),
+                         min_size=V, max_size=V))
+    indptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.array([d for r in rows for d in r], dtype=np.int64)
+    if draw(hs.booleans()):
+        cost = draw(hs.sampled_from([0.0, 1.0]))
+    else:
+        cost = np.array(draw(hs.lists(hs.integers(0, 3), min_size=len(indices),
+                                      max_size=len(indices))), dtype=np.float64)
+    return indptr, indices, cost
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.data())
+def test_relax_round_matches_sort_oracle(data):
+    vals = np.array(data.draw(engine_values))
+    V = len(vals)
+    csrs = [data.draw(csr_part(V)) for _ in range(data.draw(hs.integers(1, 2)))]
+    frontier = np.array(sorted(data.draw(hs.sets(hs.integers(0, V - 1), min_size=1))),
+                        dtype=np.int64)
+    expect_vals = vals.copy()
+    expect = oracle_round(csrs, expect_vals, frontier)
+    got_vals = vals.copy()
+    got = _relax_round(csrs, got_vals, frontier, np.empty_like(vals))
+    assert np.array_equal(got_vals, expect_vals)
+    assert got.tolist() == ([] if expect is None else expect.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.data())
+def test_seed_from_edges_matches_sort_oracle(data):
+    vals = np.array(data.draw(engine_values))
+    V = len(vals)
+    n = data.draw(hs.integers(0, 10))
+    ends = hs.lists(hs.integers(0, V - 1), min_size=n, max_size=n)
+    srcs, dsts = np.array(data.draw(ends)), np.array(data.draw(ends))
+    if data.draw(hs.booleans()):
+        costs = data.draw(hs.sampled_from([0.0, 1.0]))
+    else:
+        costs = np.array(data.draw(hs.lists(hs.integers(0, 3), min_size=n, max_size=n)),
+                         dtype=np.float64)
+    symmetric = data.draw(hs.booleans())
+    expect_vals, got_vals = vals.copy(), vals.copy()
+    expect = oracle_seed_from_edges(expect_vals, srcs, dsts, costs, symmetric)
+    got = _seed_from_edges(got_vals, srcs, dsts, costs, symmetric)
+    assert np.array_equal(got_vals, expect_vals)
+    assert got.tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("kind", ["short", "heavy"])
+@pytest.mark.parametrize("directed", [False, True])
+def test_kernels_match_sort_oracle_batch_by_batch(monkeypatch, kind, directed):
+    el = shuffle(gen_synthetic(kind, 400, 4000, seed=21, weighted=True,
+                               directed=directed), 21)
+
+    def stream():
+        return run_experiment(el, "tango", algorithms=("bfs", "pr", "sssp", "cc"),
+                              batch_size=400, collect_values=True)
+
+    new_reports, _, new_values = stream()
+    monkeypatch.setattr(analytics, "_min_relax", oracle_min_relax)
+    monkeypatch.setattr(analytics, "_seed_from_edges", oracle_seed_from_edges)
+    old_reports, _, old_values = stream()
+    assert len(new_reports) == len(old_reports) == 20
+    modes = set()
+    for new, old, nv, ov in zip(new_reports, old_reports, new_values, old_values):
+        assert new.algo_rounds == old.algo_rounds
+        assert new.algo_modes == old.algo_modes
+        modes.update(new.algo_modes.values())
+        for name in nv:
+            assert np.array_equal(nv[name], ov[name]), (new.phase, new.index, name)
+    assert modes == {"full", "incremental"}

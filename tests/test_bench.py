@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from graphtango import Config, ParseError, TangoStore
+from graphtango.analytics import KERNELS
+from graphtango.bench import harness
 from graphtango.bench.cli import main
 from graphtango.bench.data import EdgeList, gen_synthetic, load_snap, shuffle
 from graphtango.bench.harness import (
+    MAX_THREADS,
+    REPORT_COLUMNS,
     WorkerSet,
     emit_report,
     emit_sweep_report,
@@ -455,6 +460,35 @@ def test_report_roundtrips_exactly(tmp_path, report_format):
     assert s["total_seconds"] == summary.total_seconds
 
 
+def test_report_carries_kernel_rounds_and_modes(tmp_path, monkeypatch):
+    results = []
+    for name in KERNELS:
+        kernel = getattr(harness, f"run_{name}")
+
+        def recorded(*args, _kernel=kernel, **kwargs):
+            results.append(_kernel(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, f"run_{name}", recorded)
+    el = shuffle(gen_synthetic("short", 60, 300, seed=8, weighted=True), 8)
+    reports, summary = run_experiment(el, "tango", algorithms=("cc", "sssp", "bfs", "pr"),
+                                      batch_size=100)
+    path = tmp_path / "r.csv"
+    emit_report(reports, summary, path)
+    _, header, rows = parse_report(path)
+    assert tuple(header) == REPORT_COLUMNS
+    # Columns that predate the rounds/mode columns keep their positions.
+    assert header.index("total_seconds") == 21
+    assert header[22:] == [f"{k}_rounds" for k in KERNELS] + [f"{k}_mode" for k in KERNELS]
+    assert len(results) == 4 * len(reports)
+    for i, row in enumerate(rows[:-1]):
+        for res in results[4 * i:4 * i + 4]:
+            assert row[f"{res.name}_rounds"] == res.rounds
+            assert row[f"{res.name}_mode"] == res.mode
+    assert {r.mode for r in results} == {"full", "incremental"}
+    assert all(rows[-1][c] is None for c in header[22:])
+
+
 def test_report_deterministic_bytes(tmp_path):
     el = shuffle(gen_synthetic("short", 40, 200, seed=1), 1)
     reports, summary = run_experiment(el, "tango", algorithms=(), batch_size=50)
@@ -562,3 +596,40 @@ def test_cli_errors_exit_nonzero(argv, capsys):
     rc = main(argv)
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def refuse_threads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread or store was built before the cap check")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    monkeypatch.setattr(harness, "make_store", refuse)
+
+
+def test_thread_cap_checked_before_any_thread_starts(monkeypatch):
+    refuse_threads(monkeypatch)
+    el = gen_synthetic("short", 10, 50, seed=0)
+    with pytest.raises(ValueError, match="MAX_THREADS"):
+        run_experiment(el, "tango", num_threads=MAX_THREADS + 1)
+    with pytest.raises(ValueError, match="MAX_THREADS"):
+        run_th1_sweep(el, algorithms=(), num_threads=MAX_THREADS + 1)
+
+
+def test_cli_threads_above_cap_exits_2(monkeypatch, capsys):
+    refuse_threads(monkeypatch)
+    for extra in ([], ["--sweep-th1"]):
+        rc = main(["--synthetic", "short", "--vertices", "10", "--edges", "100",
+                   "--threads", str(MAX_THREADS + 1)] + extra)
+        assert rc == 2
+        assert "MAX_THREADS" in capsys.readouterr().err
+
+
+def test_cli_sssp_weight_above_2_53_exits_2(tmp_path, capsys):
+    snap = write(tmp_path, "0 1 9007199254740993\n")
+    rc = main(["--input", str(snap), "--weighted", "--algorithms", "sssp"])
+    assert rc == 2
+    assert "2^53" in capsys.readouterr().err
+    # Only sssp reads weights as float64 distances; 2^53 itself is exact.
+    assert main(["--input", str(snap), "--weighted", "--algorithms", "bfs"]) == 0
+    exact = write(tmp_path, "0 1 9007199254740992\n", name="exact.snap")
+    assert main(["--input", str(exact), "--weighted", "--algorithms", "sssp"]) == 0
