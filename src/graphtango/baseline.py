@@ -20,10 +20,7 @@ import threading
 
 import numpy as np
 
-from .core import SCAN_LIMIT, Config, VertexRangeError
-
-OUT = 0
-IN = 1
+from .core import OUT, SCAN_LIMIT, Config, GraphStore, VertexRangeError
 
 _INITIAL_CAP = 4
 
@@ -39,7 +36,7 @@ class _AdjSide:
         self.degs: list = [0] * num_vertices
 
 
-class AdListBase:
+class AdListBase(GraphStore):
     """Per-vertex dynamic edge arrays; subclasses add their locking story."""
 
     def __init__(self, config: Config, num_vertices: int, num_threads: int = 1):
@@ -122,39 +119,17 @@ class AdListBase:
         st.degs[v] = last
         return True
 
-    # -- logical-edge operations ---------------------------------------------
-
-    def insert_edge(self, src: int, dst: int, prop: int | None = None) -> bool:
-        if prop is None:
-            prop = 0
-        elif not self.weighted:
-            raise ValueError("edge property given to an unweighted store")
-        inserted = self.insert_half(src, dst, prop, OUT)
-        if self.directed:
-            self.insert_half(dst, src, prop, IN)
-        elif src != dst:
-            self.insert_half(dst, src, prop, OUT)
-        return inserted
-
-    def delete_edge(self, src: int, dst: int) -> bool:
-        deleted = self.delete_half(src, dst, OUT)
-        if self.directed:
-            self.delete_half(dst, src, IN)
-        elif src != dst:
-            self.delete_half(dst, src, OUT)
-        return deleted
-
     # -- cursors and accounting ------------------------------------------------
 
     def degree(self, v: int, side: int = OUT) -> int:
+        self._check_vertex(v)
         return self._sides[side].degs[v]
 
     def degree_array(self, side: int = OUT) -> np.ndarray:
         return np.asarray(self._sides[side].degs, dtype=np.uint64)
 
     def neighbors(self, v: int, side: int = OUT) -> np.ndarray:
-        if v < 0 or v >= self.num_vertices:
-            raise VertexRangeError(f"vertex {v} outside [0, {self.num_vertices})")
+        self._check_vertex(v)
         st = self._sides[side]
         deg = st.degs[v]
         if deg == 0:
@@ -163,12 +138,10 @@ class AdListBase:
         out.flags.writeable = False
         return out
 
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.neighbors(v, IN if self.directed else OUT)
-
     def neighbor_props(self, v: int, side: int = OUT) -> np.ndarray | None:
         if not self.weighted:
             return None
+        self._check_vertex(v)
         st = self._sides[side]
         deg = st.degs[v]
         if deg == 0:
@@ -193,19 +166,8 @@ class AdListBase:
     def has_edge(self, src: int, dst: int) -> bool:
         return bool(np.any(self.neighbors(src) == dst))
 
-    def get_edge_prop(self, src: int, dst: int) -> int | None:
-        nbrs = self.neighbors(src)
-        hit = np.nonzero(nbrs == dst)[0]
-        if not hit.size:
-            return None
-        return int(self.neighbor_props(src)[int(hit[0])]) if self.weighted else 0
-
     def stored_edges(self, side: int = OUT) -> int:
         return sum(self._sides[side].degs)
-
-    def live_edges(self) -> float:
-        total = self.stored_edges(OUT)
-        return total / 2 if not self.directed else float(total)
 
     def _per_vertex_overhead(self) -> int:
         # array pointer + degree counter per side, modeled at 8 B each
@@ -246,14 +208,12 @@ class AdListShared(AdListBase):
         self._locks = [threading.Lock() for _ in range(num_vertices)]
 
     def insert_half(self, v: int, nbr: int, prop: int = 0, side: int = OUT) -> bool:
-        if v < 0 or v >= self.num_vertices:
-            raise VertexRangeError(f"vertex {v} outside [0, {self.num_vertices})")
+        self._check_vertex(v)
         with self._locks[v]:
             return super().insert_half(v, nbr, prop, side)
 
     def delete_half(self, v: int, nbr: int, side: int = OUT) -> bool:
-        if v < 0 or v >= self.num_vertices:
-            raise VertexRangeError(f"vertex {v} outside [0, {self.num_vertices})")
+        self._check_vertex(v)
         with self._locks[v]:
             return super().delete_half(v, nbr, side)
 

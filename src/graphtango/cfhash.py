@@ -8,12 +8,14 @@ i for a key lands at
     slot(key, i) = h1(key, i // N) * N + h2(key, i mod N)
     h1(key, x)   = (h3(key) + x * h4(key)) mod M      line selector
     h2(key, x)   = (key + x) mod N                    offset inside the line
-    h3(key)      = (key * A mod 2^w) >> (w - m)       Fibonacci hash, m = log2(M)
-    h4(key)      = ((key * A mod 2^w) >> (w - 2m)) | 1
+    h3(key)      = (key * A mod 2^64) >> (64 - m)     Fibonacci hash, m = log2(M)
+    h4(key)      = ((key * A mod 2^64) >> (64 - 2m)) | 1
 
-h4 is forced odd, so for a power-of-two line count M the line walk is a full
-cycle and the whole sequence is a permutation of all M*N slots. Everything
-is shifts, masks, and two multiplies; no division anywhere.
+A is the 64-bit Fibonacci constant HASH_CONSTANT_64, floor(2^64 / golden
+ratio), which is odd. h4 is forced odd, so for a power-of-two line count M the
+line walk is a full cycle and the whole sequence is a permutation of all
+M*N slots. Everything is shifts, masks, and two multiplies; no division
+anywhere. Every table operation goes through one walk of that sequence.
 
 Keys and values live in two parallel uint64 arrays packed into one pool
 chunk (a 64-byte line holds 8 keys; the matching values line is its twin in
@@ -31,6 +33,7 @@ from .mempool import MemoryPool
 
 EMPTY_KEY = 2**64 - 1
 TOMBSTONE_KEY = 2**64 - 2
+_MASK64 = 2**64 - 1
 
 
 def _check_pow2(name: str, value: int) -> int:
@@ -39,27 +42,30 @@ def _check_pow2(name: str, value: int) -> int:
     return value.bit_length() - 1
 
 
-def hash_probe(key: int, i: int, m_lines: int, n_slots: int,
-               multiplier: int = HASH_CONSTANT_64, key_bits: int = 64) -> int:
+def _h34(key: int, log_m: int) -> tuple[int, int]:
+    """Line start h3 and odd line stride h4 of key, for 2**log_m lines."""
+    if 2 * log_m > 64:
+        raise ValueError(f"2*log2(m_lines) = {2 * log_m} exceeds the 64-bit key width")
+    y = (key * HASH_CONSTANT_64) & _MASK64
+    return y >> (64 - log_m), (y >> (64 - (log_m << 1))) | 1
+
+
+def hash_probe(key: int, i: int, m_lines: int, n_slots: int) -> int:
     """Slot index of probe i for key, in a table of m_lines lines of n_slots.
 
-    Pure function of its arguments; the table's probe loop computes the same
-    values incrementally. Requires 2 * log2(m_lines) <= key_bits.
+    Pure function of its arguments and the scalar reference for the probe
+    recurrence; the table's walk computes the same values incrementally.
+    Requires 2 * log2(m_lines) <= 64.
     """
     log_m = _check_pow2("m_lines", m_lines)
     log_n = _check_pow2("n_slots", n_slots)
-    if 2 * log_m > key_bits:
-        raise ValueError(f"2*log2(m_lines) = {2 * log_m} exceeds key width {key_bits}")
-    y = (key * multiplier) & ((1 << key_bits) - 1)
-    h3 = y >> (key_bits - log_m)
-    h4 = (y >> (key_bits - (log_m << 1))) | 1
+    h3, h4 = _h34(key, log_m)
     h1 = (h3 + (i >> log_n) * h4) & (m_lines - 1)
     h2 = (key + i) & (n_slots - 1)
     return (h1 << log_n) | h2
 
 
-def probe_sequence(key: int, m_lines: int, n_slots: int,
-                   multiplier: int = HASH_CONSTANT_64, key_bits: int = 64) -> np.ndarray:
+def probe_sequence(key: int, m_lines: int, n_slots: int) -> np.ndarray:
     """All m_lines * n_slots probe slots for key, as one uint64 array.
 
     Same math as hash_probe; h3/h4 are computed once in exact integer
@@ -67,14 +73,10 @@ def probe_sequence(key: int, m_lines: int, n_slots: int,
     """
     log_m = _check_pow2("m_lines", m_lines)
     log_n = _check_pow2("n_slots", n_slots)
-    if 2 * log_m > key_bits:
-        raise ValueError(f"2*log2(m_lines) = {2 * log_m} exceeds key width {key_bits}")
-    y = (key * multiplier) & ((1 << key_bits) - 1)
-    h3 = y >> (key_bits - log_m)
-    h4 = (y >> (key_bits - (log_m << 1))) | 1
+    h3, h4 = _h34(key, log_m)
     i = np.arange(m_lines * n_slots, dtype=np.uint64)
     h1 = (np.uint64(h3) + (i >> np.uint64(log_n)) * np.uint64(h4)) & np.uint64(m_lines - 1)
-    h2 = (np.uint64(key & (2**64 - 1)) + i) & np.uint64(n_slots - 1)
+    h2 = (np.uint64(key & _MASK64) + i) & np.uint64(n_slots - 1)
     return (h1 << np.uint64(log_n)) | h2
 
 
@@ -132,14 +134,12 @@ class CfhTable:
     slots_per_line; the caller's load contract is live_count <= capacity/2.
     """
 
-    __slots__ = ("pool", "capacity_slots", "m_lines", "n_slots", "multiplier",
-                 "key_bits", "live_count", "tombstone_count", "stats", "tracker",
-                 "_own_pool", "_log_n", "_kmask", "_chunk", "_keys", "_vals",
-                 "_shift3", "_shift4")
+    __slots__ = ("pool", "capacity_slots", "m_lines", "n_slots", "live_count",
+                 "tombstone_count", "stats", "tracker", "_own_pool", "_log_n",
+                 "_chunk", "_keys", "_vals", "_kmv", "_shift3", "_shift4")
 
     def __init__(self, capacity_slots: int, *, pool: MemoryPool | None = None,
-                 slots_per_line: int = 8, multiplier: int = HASH_CONSTANT_64,
-                 key_bits: int = 64, stats: ProbeStats | None = None):
+                 slots_per_line: int = 8, stats: ProbeStats | None = None):
         _check_pow2("capacity_slots", capacity_slots)
         self._log_n = _check_pow2("slots_per_line", slots_per_line)
         if capacity_slots < slots_per_line:
@@ -147,11 +147,8 @@ class CfhTable:
         self._own_pool = pool is None
         self.pool = MemoryPool() if pool is None else pool
         self.n_slots = slots_per_line
-        self.multiplier = multiplier
-        self.key_bits = key_bits
         self.stats = ProbeStats() if stats is None else stats
         self.tracker = None
-        self._kmask = (1 << key_bits) - 1
         self.live_count = 0
         self.tombstone_count = 0
         self._set_capacity(capacity_slots)
@@ -159,53 +156,66 @@ class CfhTable:
     def _set_capacity(self, capacity_slots: int) -> None:
         m_lines = capacity_slots >> self._log_n
         log_m = _check_pow2("line count", m_lines)
-        if 2 * log_m > self.key_bits:
-            raise ValueError(f"capacity {capacity_slots} needs 2*log2(M) <= {self.key_bits}")
+        if 2 * log_m > 64:
+            raise ValueError(f"capacity {capacity_slots} needs 2*log2(M) <= 64")
         self.capacity_slots = capacity_slots
         self.m_lines = m_lines
-        self._shift3 = self.key_bits - log_m
-        self._shift4 = self.key_bits - (log_m << 1)
+        self._shift3 = 64 - log_m
+        self._shift4 = 64 - (log_m << 1)
         self._chunk = self.pool.allocate(capacity_slots * 16)
         view = self.pool.u64_view(self._chunk, capacity_slots * 2)
         self._keys = view[:capacity_slots]
         self._vals = view[capacity_slots:]
         self._keys.fill(EMPTY_KEY)
+        # Single keys are read and written through a memoryview: about half
+        # the cost of a numpy scalar access, on every probe of every walk.
+        self._kmv = memoryview(self._keys)
 
-    def _h34(self, key: int) -> tuple[int, int]:
-        y = (key * self.multiplier) & self._kmask
-        return y >> self._shift3, (y >> self._shift4) | 1
+    def _walk(self, key: int, hist: dict | None) -> tuple[int, bool]:
+        """Walk key's probe sequence to the key or to the first empty slot.
 
-    # -- operations ---------------------------------------------------------
-
-    def find(self, key: int) -> int | None:
-        """Value stored for key, or None. Skips tombstones, stops at empty."""
-        h3, h4 = self._h34(key)
-        keys_item = self._keys.item
+        Returns (slot, True) when key is stored in slot. Otherwise returns
+        (slot, False) with the slot a new key would take: the first
+        tombstone on the path, else the empty slot that ended it, or -1 when
+        the walk ran through every slot. Adds the probe distance (slots
+        read) to hist unless hist is None.
+        """
+        y = (key * HASH_CONSTANT_64) & _MASK64
+        h3 = y >> self._shift3
+        h4 = (y >> self._shift4) | 1
+        keys = self._kmv
         n = self.n_slots
         mask_n = n - 1
         mask_m = self.m_lines - 1
         log_n = self._log_n
         tr = self.tracker
-        dist = 0
+        free = -1
         for line in range(self.m_lines):
             base = ((h3 + line * h4) & mask_m) << log_n
             if tr is not None:
                 tr.add(("hash", base >> log_n))
             for x in range(n):
                 slot = base | ((key + x) & mask_n)
-                dist += 1
-                k = keys_item(slot)
-                if k == key:
-                    st = self.stats.find
-                    st[dist] = st.get(dist, 0) + 1
-                    return self._vals.item(slot)
-                if k == EMPTY_KEY:
-                    st = self.stats.find
-                    st[dist] = st.get(dist, 0) + 1
-                    return None
-        st = self.stats.find
-        st[dist] = st.get(dist, 0) + 1
-        return None
+                k = keys[slot]
+                if k == key or k == EMPTY_KEY:
+                    if hist is not None:
+                        dist = (line << log_n) + x + 1
+                        hist[dist] = hist.get(dist, 0) + 1
+                    if k == key:
+                        return slot, True
+                    return (slot if free < 0 else free), False
+                if free < 0 and k == TOMBSTONE_KEY:
+                    free = slot
+        if hist is not None:
+            hist[self.capacity_slots] = hist.get(self.capacity_slots, 0) + 1
+        return free, False
+
+    # -- operations ---------------------------------------------------------
+
+    def find(self, key: int) -> int | None:
+        """Value stored for key, or None. Skips tombstones, stops at empty."""
+        slot, hit = self._walk(key, self.stats.find)
+        return self._vals.item(slot) if hit else None
 
     def insert(self, key: int, value: int) -> bool:
         """Insert key -> value (True) or overwrite an existing key (False).
@@ -215,94 +225,42 @@ class CfhTable:
         Raises CapacityError if a new key would push live count past
         capacity/2.
         """
-        h3, h4 = self._h34(key)
-        keys_item = self._keys.item
-        n = self.n_slots
-        mask_n = n - 1
-        mask_m = self.m_lines - 1
-        log_n = self._log_n
-        tr = self.tracker
-        first_tomb = -1
-        dist = 0
-        for line in range(self.m_lines):
-            base = ((h3 + line * h4) & mask_m) << log_n
-            if tr is not None:
-                tr.add(("hash", base >> log_n))
-            for x in range(n):
-                slot = base | ((key + x) & mask_n)
-                dist += 1
-                k = keys_item(slot)
-                if k == key:
-                    self._vals[slot] = value
-                    self._record_insert(dist)
-                    return False
-                if k == TOMBSTONE_KEY:
-                    if first_tomb < 0:
-                        first_tomb = slot
-                elif k == EMPTY_KEY:
-                    self._place_new(key, value, first_tomb if first_tomb >= 0 else slot,
-                                    reused_tomb=first_tomb >= 0)
-                    self._record_insert(dist)
-                    return True
-        # Probed every slot: the permutation saw only live keys and tombstones.
-        if first_tomb >= 0:
-            self._place_new(key, value, first_tomb, reused_tomb=True)
-            self._record_insert(dist)
-            return True
-        raise CapacityError("hash table has no free slot")
+        return self._put(key, value, self.stats.insert)
 
-    def _place_new(self, key: int, value: int, slot: int, reused_tomb: bool) -> None:
-        if self.live_count + 1 > self.capacity_slots >> 1:
+    def _put(self, key: int, value: int, hist: dict | None) -> bool:
+        """insert(), adding the probe distance to hist unless it is None."""
+        slot, hit = self._walk(key, hist)
+        if hit:
+            self._vals[slot] = value
+            return False
+        half = self.capacity_slots >> 1
+        live = self.live_count + 1
+        if slot < 0:
+            raise CapacityError("hash table has no free slot")
+        if live > half:
             raise CapacityError(
-                f"insert would push live count past capacity/2 "
-                f"({self.live_count + 1} > {self.capacity_slots >> 1})"
-            )
-        self._keys[slot] = key
+                f"insert would push live count past capacity/2 ({live} > {half})")
+        keys = self._kmv
+        reused_tomb = keys[slot] == TOMBSTONE_KEY
+        keys[slot] = key
         self._vals[slot] = value
-        self.live_count += 1
+        self.live_count = live
         if reused_tomb:
             self.tombstone_count -= 1
-        elif self.live_count + self.tombstone_count > self.capacity_slots >> 1:
+        elif live + self.tombstone_count > half:
             # Tombstone pressure: every probe path must keep an empty slot
             # reachable, so purge in place once half the slots are non-empty.
             self.rebuild(self.capacity_slots)
-
-    def _record_insert(self, dist: int) -> None:
-        st = self.stats.insert
-        st[dist] = st.get(dist, 0) + 1
+        return True
 
     def remove(self, key: int) -> bool:
         """Mark key's slot as a tombstone. Probe distance logs under 'find'."""
-        h3, h4 = self._h34(key)
-        keys_item = self._keys.item
-        n = self.n_slots
-        mask_n = n - 1
-        mask_m = self.m_lines - 1
-        log_n = self._log_n
-        tr = self.tracker
-        dist = 0
-        for line in range(self.m_lines):
-            base = ((h3 + line * h4) & mask_m) << log_n
-            if tr is not None:
-                tr.add(("hash", base >> log_n))
-            for x in range(n):
-                slot = base | ((key + x) & mask_n)
-                dist += 1
-                k = keys_item(slot)
-                if k == key:
-                    self._keys[slot] = TOMBSTONE_KEY
-                    self.live_count -= 1
-                    self.tombstone_count += 1
-                    st = self.stats.find
-                    st[dist] = st.get(dist, 0) + 1
-                    return True
-                if k == EMPTY_KEY:
-                    st = self.stats.find
-                    st[dist] = st.get(dist, 0) + 1
-                    return False
-        st = self.stats.find
-        st[dist] = st.get(dist, 0) + 1
-        return False
+        slot, hit = self._walk(key, self.stats.find)
+        if hit:
+            self._kmv[slot] = TOMBSTONE_KEY
+            self.live_count -= 1
+            self.tombstone_count += 1
+        return hit
 
     def rebuild(self, new_capacity_slots: int | None = None) -> None:
         """Re-place all live pairs, dropping tombstones.
@@ -319,9 +277,7 @@ class CfhTable:
                 f"rebuild to {new_capacity_slots} slots would exceed load 0.5 "
                 f"with {self.live_count} live keys"
             )
-        mask = (self._keys != np.uint64(EMPTY_KEY)) & (self._keys != np.uint64(TOMBSTONE_KEY))
-        live_keys = self._keys[mask].tolist()
-        live_vals = self._vals[mask].tolist()
+        live = self.items()
         if new_capacity_slots == self.capacity_slots:
             self._keys.fill(EMPTY_KEY)
         else:
@@ -329,54 +285,26 @@ class CfhTable:
             self._set_capacity(new_capacity_slots)
             self.pool.deallocate(old_chunk, old_cap * 16)
         self.tombstone_count = 0
-        for key, value in zip(live_keys, live_vals):
-            self._place_raw(key, value)
-
-    def _place_raw(self, key: int, value: int) -> None:
-        """Drop key -> value into its first empty probe slot, no bookkeeping.
-
-        Assumes key is absent; skips over occupied slots (and any tombstones)
-        and records nothing in the probe statistics.
-        """
-        keys_arr, vals_arr = self._keys, self._vals
-        n = self.n_slots
-        mask_n = n - 1
-        mask_m = self.m_lines - 1
-        log_n = self._log_n
-        keys_item = keys_arr.item
-        h3, h4 = self._h34(key)
-        for line in range(self.m_lines):
-            base = ((h3 + line * h4) & mask_m) << log_n
-            for x in range(n):
-                slot = base | ((key + x) & mask_n)
-                if keys_item(slot) == EMPTY_KEY:
-                    keys_arr[slot] = key
-                    vals_arr[slot] = value
-                    return
-        raise CapacityError("no empty slot on the probe path")
+        # The cleared table holds no tombstones and the keys are distinct,
+        # so each key takes the empty slot its walk ends at.
+        keys, vals, walk = self._kmv, self._vals, self._walk
+        for key, value in live:
+            slot = walk(key, None)[0]
+            keys[slot] = key
+            vals[slot] = value
 
     def bulk_load(self, pairs) -> None:
-        """Load distinct, absent (key, value) pairs without probe statistics.
-
-        Meant for building a table from a known-deduplicated edge array;
-        enforces the load bound but skips per-key duplicate search.
-        """
-        half = self.capacity_slots >> 1
+        """Insert each (key, value) pair as insert() would, without probe
+        statistics: how the store indexes an existing edge array."""
         for key, value in pairs:
-            if self.live_count + 1 > half:
-                raise CapacityError(
-                    f"bulk load would push live count past capacity/2 "
-                    f"({self.live_count + 1} > {half})"
-                )
-            self._place_raw(key, value)
-            self.live_count += 1
+            self._put(key, value, None)
 
     def release(self) -> None:
         """Free the slot chunk. The table is unusable afterwards."""
         if self._chunk:
             self.pool.deallocate(self._chunk, self.capacity_slots * 16)
             self._chunk = 0
-            self._keys = self._vals = None
+            self._keys = self._vals = self._kmv = None
             if self._own_pool:
                 self.pool.close()
 

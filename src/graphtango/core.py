@@ -2,17 +2,21 @@
 
 Everything here is plain integer arithmetic: degree thresholds derived from
 cache line geometry, the vertex -> worker partition map, and the Config
-object the store, baselines, and benchmark harness all consume.
+object the store, baselines, and benchmark harness all consume. GraphStore
+holds the logical-edge operations the store and the baselines share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# Fibonacci-style multiplicative hash constants. The 64-bit one is the
-# default for vertex keys; the 32-bit one exists for narrow-key tables.
+# Fibonacci multiplicative hash constant, floor(2^64 / golden ratio):
+# the line-confined hash multiplies every 64-bit key by it.
 HASH_CONSTANT_64 = 0x9E3779B97F4A7C15
-HASH_CONSTANT_32 = 2654435761
+
+# Edge directions: every store keeps an OUT side; directed stores add IN.
+OUT = 0
+IN = 1
 
 DEFAULT_CACHE_LINE_BYTES = 64
 DEFAULT_TH1 = 32
@@ -97,6 +101,64 @@ def partition_of(vertex_id: int, num_threads: int, partition_size: int = DEFAULT
     return (vertex_id // partition_size) % num_threads
 
 
+class GraphStore:
+    """Logical-edge operations shared by the hybrid store and the baselines.
+
+    Subclasses set num_vertices, weighted and directed, and supply the
+    single-direction operations: insert_half, delete_half, neighbors,
+    neighbor_props and stored_edges.
+    """
+
+    def _check_vertex(self, v: int) -> None:
+        if v < 0 or v >= self.num_vertices:
+            raise VertexRangeError(f"vertex {v} outside [0, {self.num_vertices})")
+
+    def insert_edge(self, src: int, dst: int, prop: int | None = None) -> bool:
+        """Insert or update edge (src, dst); True means a new edge.
+
+        Undirected stores the mirror (dst, src) alongside; directed maintains
+        the in-edge side. prop is required to be None on unweighted stores.
+        """
+        if prop is None:
+            prop = 0
+        elif not self.weighted:
+            raise ValueError("edge property given to an unweighted store")
+        inserted = self.insert_half(src, dst, prop, OUT)
+        if self.directed:
+            self.insert_half(dst, src, prop, IN)
+        elif src != dst:
+            self.insert_half(dst, src, prop, OUT)
+        return inserted
+
+    def delete_edge(self, src: int, dst: int) -> bool:
+        """Delete edge (src, dst) and its mirror; True if it existed."""
+        deleted = self.delete_half(src, dst, OUT)
+        if self.directed:
+            self.delete_half(dst, src, IN)
+        elif src != dst:
+            self.delete_half(dst, src, OUT)
+        return deleted
+
+    def in_neighbors(self, v: int):
+        """In-edge cursor; the out cursor when the graph is undirected."""
+        return self.neighbors(v, IN if self.directed else OUT)
+
+    def get_edge_prop(self, src: int, dst: int) -> int | None:
+        """Property of edge (src, dst), 0 on unweighted stores, None if absent."""
+        nbrs = self.neighbors(src)
+        hit = (nbrs == dst).nonzero()[0]
+        if not hit.size:
+            return None
+        if not self.weighted:
+            return 0
+        return int(self.neighbor_props(src)[int(hit[0])])
+
+    def live_edges(self) -> float:
+        """Logical live edge count: out-degree sum, halved when undirected."""
+        total = self.stored_edges(OUT)
+        return total / 2 if not self.directed else float(total)
+
+
 _CONFIG_FILE_KEYS = {
     "cache_line_bytes": int,
     "weighted": None,  # bool, parsed specially
@@ -104,7 +166,6 @@ _CONFIG_FILE_KEYS = {
     "th1": int,
     "partition_size": int,
     "block_bytes": int,
-    "hash_constant": int,
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -127,7 +188,6 @@ class Config:
     th1: int = DEFAULT_TH1
     partition_size: int = DEFAULT_PARTITION_SIZE
     block_bytes: int = DEFAULT_BLOCK_BYTES
-    hash_constant: int = HASH_CONSTANT_64
     th0: int = field(init=False)
 
     def __post_init__(self):
@@ -143,8 +203,6 @@ class Config:
             raise ConfigError(f"partition_size must be a positive multiple of {deg_slots}")
         if self.block_bytes < 4096 or self.block_bytes & (self.block_bytes - 1):
             raise ConfigError("block_bytes must be a power of two >= 4096")
-        if not 0 < self.hash_constant < 2**64:
-            raise ConfigError("hash_constant must fit in 64 bits")
 
     @property
     def edge_bytes(self) -> int:

@@ -29,15 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cfhash import CfhTable, ProbeStats
-from .core import SCAN_LIMIT, Config, VertexRangeError, next_pow2, partition_of
+from .core import IN, OUT  # re-exported: callers import the directions from here
+from .core import SCAN_LIMIT, Config, GraphStore, VertexRangeError, next_pow2, partition_of
 from .mempool import MemoryPool, alloc_aligned
 
 TYPE1 = 1
 TYPE2 = 2
 TYPE3 = 3
-
-OUT = 0
-IN = 1
 
 # Meta record word offsets (Type2/Type3 layout; Type1 keeps edges at 1..).
 _DEG = 0
@@ -64,7 +62,7 @@ class _Side:
         self.tables: list = [None] * num_vertices
 
 
-class TangoStore:
+class TangoStore(GraphStore):
     """Hybrid Type1/Type2/Type3 edge store for a fixed vertex set.
 
     Undirected graphs store each logical edge in both endpoints' out tables;
@@ -105,10 +103,6 @@ class TangoStore:
     def _pool_of(self, v: int) -> MemoryPool:
         return self.pools[partition_of(v, self.num_threads, self._psize)]
 
-    def _check_vertex(self, v: int) -> None:
-        if v < 0 or v >= self.num_vertices:
-            raise VertexRangeError(f"vertex {v} outside [0, {self.num_vertices})")
-
     def _new_array(self, v: int, cap: int) -> tuple[int, np.ndarray]:
         pool = self.pools[(v // self._psize) % self.num_threads]
         chunk = pool.allocate(cap * self._ew * 8)
@@ -137,8 +131,7 @@ class TangoStore:
         cap = mf.item(base + _CAP)
         part = partition_of(v, self.num_threads, self._psize)
         tbl = CfhTable(2 * cap, pool=self.pools[part],
-                       slots_per_line=self.config.cache_line_bytes // 8,
-                       multiplier=self.config.hash_constant, stats=self._probe[part])
+                       slots_per_line=self.config.cache_line_bytes // 8, stats=self._probe[part])
         tbl.tracker = self.tracker
         view = side.views[v]
         step = self._ew
@@ -374,34 +367,6 @@ class TangoStore:
             mv[base + _HASHCAP] = tbl.capacity_slots
         return True
 
-    # -- logical-edge operations ----------------------------------------------
-
-    def insert_edge(self, src: int, dst: int, prop: int | None = None) -> bool:
-        """Insert or update edge (src, dst); True means a new edge.
-
-        Undirected stores the mirror (dst, src) alongside; directed maintains
-        the in-edge side. prop is required to be None on unweighted stores.
-        """
-        if prop is None:
-            prop = 0
-        elif not self.weighted:
-            raise ValueError("edge property given to an unweighted store")
-        inserted = self.insert_half(src, dst, prop, OUT)
-        if self.directed:
-            self.insert_half(dst, src, prop, IN)
-        elif src != dst:
-            self.insert_half(dst, src, prop, OUT)
-        return inserted
-
-    def delete_edge(self, src: int, dst: int) -> bool:
-        """Delete edge (src, dst) and its mirror; True if it existed."""
-        deleted = self.delete_half(src, dst, OUT)
-        if self.directed:
-            self.delete_half(dst, src, IN)
-        elif src != dst:
-            self.delete_half(dst, src, OUT)
-        return deleted
-
     # -- cursors and introspection ----------------------------------------------
 
     def degree(self, v: int, side: int = OUT) -> int:
@@ -437,10 +402,6 @@ class TangoStore:
         out = out[:]
         out.flags.writeable = False
         return out
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """In-edge cursor; the out cursor when the graph is undirected."""
-        return self.neighbors(v, IN if self.directed else OUT)
 
     def neighbor_props(self, v: int, side: int = OUT) -> np.ndarray | None:
         """Read-only view of edge properties aligned with neighbors(v)."""
@@ -512,16 +473,6 @@ class TangoStore:
                     weights[p] = self.pools[b - 1].gather(a + 8)
         return indptr, indices, weights
 
-    def get_edge_prop(self, src: int, dst: int) -> int | None:
-        """Property of edge (src, dst), or None if absent (weighted stores)."""
-        nbrs = self.neighbors(src)
-        hit = np.nonzero(nbrs == dst)[0]
-        if not hit.size:
-            return None
-        if not self.weighted:
-            return 0
-        return int(self.neighbor_props(src)[int(hit[0])])
-
     def has_edge(self, src: int, dst: int) -> bool:
         self._check_vertex(src)
         st = self._sides[OUT]
@@ -533,11 +484,6 @@ class TangoStore:
     def stored_edges(self, side: int = OUT) -> int:
         """Total stored (directed) edge slots on one side: sum of degrees."""
         return int(self._sides[side].meta.reshape(-1, self._line_words)[:, 0].sum())
-
-    def live_edges(self) -> float:
-        """Logical live edge count: out-degree sum, halved when undirected."""
-        total = self.stored_edges(OUT)
-        return total / 2 if not self.directed else float(total)
 
     def memory_bytes(self) -> int:
         """Bytes the native layout occupies: meta lines + pool chunks."""

@@ -81,6 +81,20 @@ def test_range_checks(cls):
         store.neighbors(5)
 
 
+@pytest.mark.parametrize("cls", [TangoStore, AdListShared, AdListChunked])
+@pytest.mark.parametrize("v", [-1, 5])
+def test_vertex_reads_range_checked(cls, v):
+    # -1 must not wrap to the last vertex, 5 must not surface a bare IndexError
+    store = cls(Config(weighted=True), 5)
+    store.insert_edge(4, 3, 9)
+    with pytest.raises(VertexRangeError):
+        store.degree(v)
+    with pytest.raises(VertexRangeError):
+        store.neighbor_props(v)
+    with pytest.raises(VertexRangeError):
+        store.in_neighbors(v)
+
+
 def test_shared_locks_serialize_updates():
     # hammer one vertex from several threads; per-vertex locking must keep
     # the array consistent and every insert distinct

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from graphtango.cfhash import (
     EMPTY_KEY,
@@ -11,7 +13,7 @@ from graphtango.cfhash import (
     hash_probe,
     probe_sequence,
 )
-from graphtango.core import HASH_CONSTANT_32, HASH_CONSTANT_64, CapacityError
+from graphtango.core import HASH_CONSTANT_64, CapacityError
 from graphtango.mempool import MemoryPool
 
 
@@ -30,26 +32,31 @@ def slot_oracle(key, i, log_m, log_n, mult, width):
     return (h1 << log_n) | h2
 
 
-def test_known_32bit_probe_slots():
-    # key=1, M=4 lines, N=8 slots, golden-ratio multiplier, 32-bit width:
-    # probe 0 lands in line 2 offset 1 (slot 17), probe 8 in line 3 (slot 25)
-    assert hash_probe(1, 0, 4, 8, HASH_CONSTANT_32, key_bits=32) == 17
-    assert hash_probe(1, 8, 4, 8, HASH_CONSTANT_32, key_bits=32) == 25
-    assert slot_oracle(1, 0, 2, 3, HASH_CONSTANT_32, 32) == 17
-    assert slot_oracle(1, 8, 2, 3, HASH_CONSTANT_32, 32) == 25
+def test_known_64bit_probe_slots():
+    # key=1, M=4 lines (m=2), N=8 slots: key * A mod 2^64 is A itself,
+    # 0x9E3779B97F4A7C15, whose top bits are 1001 1110...
+    #   h3 = top 2 bits           = 0b10           = 2
+    #   h4 = top 4 bits, made odd = 0b1001 | 1     = 9
+    # probe i visits line (2 + (i // 8) * 9) mod 4, offset (1 + i) mod 8:
+    # lines 2, 3, 0, 1 in turn, each entered at offset 1.
+    assert HASH_CONSTANT_64 >> 60 == 0b1001
+    expected = {0: 17, 7: 16, 8: 25, 15: 24, 16: 1, 24: 9, 31: 8}
+    for i, slot in expected.items():
+        assert hash_probe(1, i, 4, 8) == slot
+        assert slot_oracle(1, i, 2, 3, HASH_CONSTANT_64, 64) == slot
+        assert int(probe_sequence(1, 4, 8)[i]) == slot
 
 
 def test_probe_matches_oracle():
     rng = random.Random(42)
-    for width, mult in ((32, HASH_CONSTANT_32), (64, HASH_CONSTANT_64)):
-        for _ in range(300):
-            log_m = rng.randrange(0, min(10, width // 2) + 1)
-            log_n = rng.choice((0, 1, 2, 3, 4))
-            m, n = 1 << log_m, 1 << log_n
-            key = rng.randrange(1 << width)
-            i = rng.randrange(m * n)
-            assert hash_probe(key, i, m, n, mult, key_bits=width) == \
-                slot_oracle(key, i, log_m, log_n, mult, width)
+    for _ in range(300):
+        log_m = rng.randrange(0, 11)
+        log_n = rng.choice((0, 1, 2, 3, 4))
+        m, n = 1 << log_m, 1 << log_n
+        key = rng.randrange(1 << 64)
+        i = rng.randrange(m * n)
+        assert hash_probe(key, i, m, n) == \
+            slot_oracle(key, i, log_m, log_n, HASH_CONSTANT_64, 64)
 
 
 def test_sequence_is_permutation():
@@ -92,7 +99,7 @@ def test_probe_validation():
     with pytest.raises(ValueError):
         hash_probe(1, 0, 4, 6)  # n not a power of two
     with pytest.raises(ValueError):
-        hash_probe(1, 0, 1 << 20, 8, key_bits=32)  # 2*log2(m) > width
+        hash_probe(1, 0, 1 << 33, 8)  # 2*log2(m) = 66 > 64
     with pytest.raises(ValueError):
         probe_sequence(1, 5, 8)
 
@@ -271,3 +278,153 @@ def test_probe_stats_helpers():
     assert s.fraction_within("insert", 1) == pytest.approx(0.98)
     assert s.fraction_within("insert", 8) == 1.0
     assert s.fraction_within("find", 1) == pytest.approx(0.75)
+
+
+class OracleTable:
+    """Straight-line model of CfhTable written from probe_sequence.
+
+    Plain lists for the slots; each operation walks the key's full probe
+    sequence, stops at the key or at the first empty slot, and places a new
+    key in the first tombstone on that path, else in the empty slot. A
+    placement that fills a fresh slot and leaves more than half the slots
+    non-empty purges tombstones in place. rebuild and bulk_load place keys
+    the same way without probe statistics.
+    """
+
+    def __init__(self, cap, n):
+        self.n = n
+        self._reset(cap)
+        self.hist = {"insert": {}, "find": {}}
+
+    def _reset(self, cap):
+        self.cap = cap
+        self.keys = [EMPTY_KEY] * cap
+        self.vals = [None] * cap
+        self.live = self.tomb = 0
+
+    def _path(self, key, kind):
+        """(slot holding key or None, slot a new key takes or None)."""
+        seq = probe_sequence(key, self.cap // self.n, self.n).tolist()
+        at, free, dist = None, None, len(seq)
+        for d, slot in enumerate(seq, 1):
+            k = self.keys[slot]
+            if k == key:
+                at, dist = slot, d
+                break
+            if k == EMPTY_KEY:
+                free, dist = (slot if free is None else free), d
+                break
+            if k == TOMBSTONE_KEY and free is None:
+                free = slot
+        if kind is not None:
+            self.hist[kind][dist] = self.hist[kind].get(dist, 0) + 1
+        return at, free
+
+    def find(self, key):
+        at, _ = self._path(key, "find")
+        return None if at is None else self.vals[at]
+
+    def insert(self, key, value, kind="insert"):
+        at, free = self._path(key, kind)
+        if at is not None:
+            self.vals[at] = value
+            return False
+        if free is None or self.live + 1 > self.cap // 2:
+            raise CapacityError("full")
+        reused = self.keys[free] == TOMBSTONE_KEY
+        self.keys[free], self.vals[free] = key, value
+        self.live += 1
+        if reused:
+            self.tomb -= 1
+        elif self.live + self.tomb > self.cap // 2:
+            self.rebuild(self.cap)
+        return True
+
+    def remove(self, key):
+        at, _ = self._path(key, "find")
+        if at is None:
+            return False
+        self.keys[at] = TOMBSTONE_KEY
+        self.live -= 1
+        self.tomb += 1
+        return True
+
+    def rebuild(self, cap):
+        if cap < 2 * self.live:
+            raise CapacityError("too small")
+        pairs = [(k, v) for k, v in zip(self.keys, self.vals)
+                 if k not in (EMPTY_KEY, TOMBSTONE_KEY)]
+        self._reset(cap)
+        self.bulk_load(pairs)
+
+    def bulk_load(self, pairs):
+        for key, value in pairs:
+            self.insert(key, value, kind=None)
+
+
+# Few distinct keys, so probe paths cross and tombstones pile up on them.
+_KEYS = hs.one_of(hs.integers(0, 15), hs.integers(2**64 - 4, 2**64 - 3))
+_OPS = hs.lists(hs.one_of(
+    hs.tuples(hs.just("insert"), _KEYS, hs.integers(0, 2**64 - 1)),
+    hs.tuples(hs.just("find"), _KEYS),
+    hs.tuples(hs.just("remove"), _KEYS),
+    hs.tuples(hs.just("rebuild"), hs.sampled_from([0.5, 1, 2])),
+    hs.tuples(hs.just("bulk_load"), hs.lists(hs.tuples(_KEYS, hs.integers(0, 99)),
+                                             max_size=6)),
+), min_size=20, max_size=80)
+
+
+def _assert_same(t, o):
+    keys = t._keys.tolist()
+    assert t.capacity_slots == o.cap
+    assert keys == o.keys
+    # Values under empty or tombstoned keys are stale memory, not state.
+    live = [i for i, k in enumerate(keys) if k not in (EMPTY_KEY, TOMBSTONE_KEY)]
+    assert [t._vals.item(i) for i in live] == [o.vals[i] for i in live]
+    assert (t.live_count, t.tombstone_count) == (o.live, o.tomb)
+    assert t.tombstone_count == keys.count(TOMBSTONE_KEY)
+    assert t.live_count + t.tombstone_count <= t.capacity_slots // 2
+    assert t.probe_stats() == o.hist
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap=hs.sampled_from([16, 32, 64]), n=hs.sampled_from([4, 8]), ops=_OPS)
+# Key 12's path starts at the slots of 4 then 5: it must take 4's tombstone.
+@example(cap=16, n=8, ops=[("insert", 4, 1), ("insert", 5, 2), ("remove", 4),
+                           ("remove", 5), ("insert", 12, 3)])
+def test_table_matches_straight_line_oracle(cap, n, ops):
+    pool = MemoryPool(block_bytes=4096)
+    t = CfhTable(cap, pool=pool, slots_per_line=n)
+    o = OracleTable(cap, n)
+    for op, *args in ops:
+        if op == "rebuild":
+            args = [max(n, int(t.capacity_slots * args[0]))]
+        outcomes = []
+        for target in (t, o):
+            try:
+                outcomes.append(("ok", getattr(target, op)(*args)))
+            except CapacityError:
+                outcomes.append(("raised", None))
+        assert outcomes[0] == outcomes[1], (op, args)
+        _assert_same(t, o)
+    t.release()
+    pool.close()
+
+
+def test_bulk_load_onto_tombstones_keeps_accounting_exact():
+    # 4 live keys and 6 tombstones in 32 slots; loading 8 more keys must
+    # reuse tombstones on their paths or purge, never leave more than half
+    # the slots non-empty.
+    t = CfhTable(32)
+    o = OracleTable(32, 8)
+    for target in (t, o):
+        for k in range(10):
+            target.insert(k, k)
+        for k in range(6):
+            target.remove(k)
+        target.bulk_load((100 + k, k) for k in range(8))
+    _assert_same(t, o)
+    assert t.live_count == 12
+    for k in list(range(6, 10)) + list(range(100, 108)):
+        assert t.find(k) is not None
+    t.release()

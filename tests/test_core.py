@@ -84,8 +84,6 @@ def test_config_validation():
         Config(partition_size=13)
     with pytest.raises(ConfigError):
         Config(block_bytes=1000)
-    with pytest.raises(ConfigError):
-        Config(hash_constant=0)
 
 
 def test_config_th0_follows_line_size():
