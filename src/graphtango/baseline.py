@@ -29,11 +29,18 @@ _EMPTY.flags.writeable = False
 
 
 class _AdjSide:
-    __slots__ = ("arrs", "degs")
+    """One direction's edge arrays, degrees and array lengths in words.
+
+    caps[v] mirrors len(arrs[v]) (0 before the first insert) so that
+    memory_bytes is one numpy sum instead of a walk over every array.
+    """
+
+    __slots__ = ("arrs", "degs", "caps")
 
     def __init__(self, num_vertices: int):
         self.arrs: list = [None] * num_vertices
         self.degs: list = [0] * num_vertices
+        self.caps = np.zeros(num_vertices, dtype=np.int64)
 
 
 class AdListBase(GraphStore):
@@ -80,10 +87,12 @@ class AdListBase(GraphStore):
         if arr is None:
             arr = np.empty(_INITIAL_CAP * ew, dtype=np.uint64)
             st.arrs[v] = arr
+            st.caps[v] = _INITIAL_CAP * ew
         elif deg * ew == len(arr):
             grown = np.empty(len(arr) * 2, dtype=np.uint64)
             grown[:deg * ew] = arr
             st.arrs[v] = arr = grown
+            st.caps[v] = len(grown)
         if ew == 1:
             arr[deg] = nbr
         else:
@@ -176,11 +185,13 @@ class AdListBase(GraphStore):
     def memory_bytes(self) -> int:
         """Modeled native footprint: per-vertex fixed words + edge capacity.
 
-        Capacity is summed over the live arrays at call time, so the figure
-        is exact even with workers mutating in between.
+        Capacity is the sum of caps, which insert_half sets wherever an
+        array is allocated or doubled (arrays never shrink). Each element
+        has one writer, the thread applying that vertex's update (its owner
+        worker in AdListChunked, the holder of its lock in AdListShared),
+        so the sum is exact without a shared counter.
         """
-        cap_words = sum(len(a) for st in self._sides for a in st.arrs
-                        if a is not None)
+        cap_words = sum(int(st.caps.sum()) for st in self._sides)
         return self.num_vertices * self._per_vertex_overhead() + cap_words * 8
 
     def check_invariants(self, v: int, side: int = OUT, deep: bool = False) -> None:
@@ -189,7 +200,9 @@ class AdListBase(GraphStore):
         arr = st.arrs[v]
         if arr is None:
             assert deg == 0, f"v{v}: degree {deg} with no array"
+            assert st.caps[v] == 0, f"v{v}: caps {st.caps[v]} with no array"
             return
+        assert st.caps[v] == len(arr), f"v{v}: caps {st.caps[v]} != {len(arr)} words"
         assert deg * self._ew <= len(arr), f"v{v}: deg {deg} over capacity"
         if deep:
             nbrs = arr[:deg * self._ew:self._ew].tolist()

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                    metavar="N", help=f"edges per batch (default {DEFAULT_BATCH_SIZE})")
     p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help=f"update worker threads, at most {MAX_THREADS} (default 1)")
+                   help=f"update worker threads, 1 to {MAX_THREADS} (default 1)")
     p.add_argument("--seed", type=int, default=42, metavar="N",
                    help="seed for generation and shuffling (default 42)")
     p.add_argument("--th1", type=int, default=None, metavar="N",

@@ -324,6 +324,8 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                          f"larger ones); the edge list holds {el.weights.max()}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if num_threads < 1:
+        raise ValueError(f"num_threads must be >= 1, got {num_threads}")
     if num_threads > MAX_THREADS:
         raise ValueError(f"num_threads {num_threads} exceeds MAX_THREADS {MAX_THREADS}")
 

@@ -171,14 +171,14 @@ class CfhTable:
         # the cost of a numpy scalar access, on every probe of every walk.
         self._kmv = memoryview(self._keys)
 
-    def _walk(self, key: int, hist: dict | None) -> tuple[int, bool]:
+    def _walk(self, key: int, hist: dict | None) -> tuple[int, bool, int]:
         """Walk key's probe sequence to the key or to the first empty slot.
 
-        Returns (slot, True) when key is stored in slot. Otherwise returns
-        (slot, False) with the slot a new key would take: the first
-        tombstone on the path, else the empty slot that ended it, or -1 when
-        the walk ran through every slot. Adds the probe distance (slots
-        read) to hist unless hist is None.
+        Returns (slot, True, dist) when key is stored in slot. Otherwise
+        returns (slot, False, dist) with the slot a new key would take: the
+        first tombstone on the path, else the empty slot that ended it, or
+        -1 when the walk ran through every slot. dist is the probe distance
+        (slots read); it is added to hist unless hist is None.
         """
         y = (key * HASH_CONSTANT_64) & _MASK64
         h3 = y >> self._shift3
@@ -198,24 +198,38 @@ class CfhTable:
                 slot = base | ((key + x) & mask_n)
                 k = keys[slot]
                 if k == key or k == EMPTY_KEY:
+                    dist = (line << log_n) + x + 1
                     if hist is not None:
-                        dist = (line << log_n) + x + 1
                         hist[dist] = hist.get(dist, 0) + 1
                     if k == key:
-                        return slot, True
-                    return (slot if free < 0 else free), False
+                        return slot, True, dist
+                    return (slot if free < 0 else free), False, dist
                 if free < 0 and k == TOMBSTONE_KEY:
                     free = slot
+        dist = self.capacity_slots
         if hist is not None:
-            hist[self.capacity_slots] = hist.get(self.capacity_slots, 0) + 1
-        return free, False
+            hist[dist] = hist.get(dist, 0) + 1
+        return free, False, dist
 
     # -- operations ---------------------------------------------------------
 
     def find(self, key: int) -> int | None:
         """Value stored for key, or None. Skips tombstones, stops at empty."""
-        slot, hit = self._walk(key, self.stats.find)
+        slot, hit, _ = self._walk(key, self.stats.find)
         return self._vals.item(slot) if hit else None
+
+    def locate(self, key: int) -> tuple[int, int | None, int]:
+        """find() that also returns where its walk ended: (slot, value, dist).
+
+        On a hit value is key's value and slot holds key, ready for
+        remove_at; on a miss value is None and slot is where put_at places
+        key (-1 when the walk found no free slot). dist is the probe
+        distance, logged under 'find' like find(). The slot stays valid for
+        put_at or remove_at until a key is placed or removed; overwriting a
+        value keeps it.
+        """
+        slot, hit, dist = self._walk(key, self.stats.find)
+        return slot, (self._vals.item(slot) if hit else None), dist
 
     def insert(self, key: int, value: int) -> bool:
         """Insert key -> value (True) or overwrite an existing key (False).
@@ -227,12 +241,28 @@ class CfhTable:
         """
         return self._put(key, value, self.stats.insert)
 
+    def put_at(self, slot: int, key: int, value: int, dist: int) -> None:
+        """Place key, which a locate() missed, at the slot it returned.
+
+        The same placement as insert() without a second walk: dist goes
+        under 'insert' as that walk's would, then the same capacity checks,
+        tombstone accounting and tombstone-pressure purge.
+        """
+        hist = self.stats.insert
+        hist[dist] = hist.get(dist, 0) + 1
+        self._place(slot, key, value)
+
     def _put(self, key: int, value: int, hist: dict | None) -> bool:
         """insert(), adding the probe distance to hist unless it is None."""
-        slot, hit = self._walk(key, hist)
+        slot, hit, _ = self._walk(key, hist)
         if hit:
             self._vals[slot] = value
             return False
+        self._place(slot, key, value)
+        return True
+
+    def _place(self, slot: int, key: int, value: int) -> None:
+        """Store a new key at slot, the free slot its walk ended at."""
         half = self.capacity_slots >> 1
         live = self.live_count + 1
         if slot < 0:
@@ -251,16 +281,25 @@ class CfhTable:
             # Tombstone pressure: every probe path must keep an empty slot
             # reachable, so purge in place once half the slots are non-empty.
             self.rebuild(self.capacity_slots)
-        return True
 
     def remove(self, key: int) -> bool:
         """Mark key's slot as a tombstone. Probe distance logs under 'find'."""
-        slot, hit = self._walk(key, self.stats.find)
+        slot, hit, _ = self._walk(key, self.stats.find)
         if hit:
-            self._kmv[slot] = TOMBSTONE_KEY
-            self.live_count -= 1
-            self.tombstone_count += 1
+            self._tombstone(slot)
         return hit
+
+    def remove_at(self, slot: int, dist: int) -> None:
+        """Tombstone the slot a locate() hit returned, without a second
+        walk: dist goes under 'find' as remove()'s walk would."""
+        hist = self.stats.find
+        hist[dist] = hist.get(dist, 0) + 1
+        self._tombstone(slot)
+
+    def _tombstone(self, slot: int) -> None:
+        self._kmv[slot] = TOMBSTONE_KEY
+        self.live_count -= 1
+        self.tombstone_count += 1
 
     def rebuild(self, new_capacity_slots: int | None = None) -> None:
         """Re-place all live pairs, dropping tombstones.

@@ -237,9 +237,10 @@ class TangoStore(GraphStore):
                 # Crossed TH1: attach the hash table (array already sized).
                 self._build_table(st, v, base, deg + 1)
             return True
-        # Type3: hash lookup, array append
+        # Type3: hash lookup, array append. The lookup's walk ends where nbr
+        # goes, unless the array is full and the table is rebuilt first.
         tbl = st.tables[v]
-        idx = tbl.find(nbr)
+        slot, idx, dist = tbl.locate(nbr)
         if idx is not None:
             if ew == 2:
                 view[2 * idx + 1] = prop
@@ -250,6 +251,9 @@ class TangoStore(GraphStore):
             tbl.rebuild(4 * cap)
             mv[base + _HASH] = tbl._chunk
             mv[base + _HASHCAP] = tbl.capacity_slots
+            tbl.insert(nbr, deg)
+        else:
+            tbl.put_at(slot, nbr, deg, dist)
         if ew == 1:
             view[deg] = nbr
         else:
@@ -258,7 +262,6 @@ class TangoStore(GraphStore):
         mv[base] = deg + 1
         if tr is not None:
             tr.add(("earr", side, v, (deg * ew * 8) >> 6))
-        tbl.insert(nbr, deg)
         return True
 
     def _track_scan(self, tr: set, side: int, v: int, deg: int) -> None:
@@ -335,9 +338,10 @@ class TangoStore(GraphStore):
                 if last == cap >> 2:
                     self._resize_array(st, v, base, last, cap, cap >> 1)
             return True
-        # Type3
+        # Type3: the moved edge's insert only overwrites a value, so nbr's
+        # slot from the lookup is still the one to tombstone.
         tbl = st.tables[v]
-        f = tbl.find(nbr)
+        slot, f, dist = tbl.locate(nbr)
         if f is None:
             return False
         last = deg - 1
@@ -350,7 +354,7 @@ class TangoStore(GraphStore):
             if tr is not None:
                 tr.add(("earr", side, v, (f * ew * 8) >> 6))
                 tr.add(("earr", side, v, (last * ew * 8) >> 6))
-        tbl.remove(nbr)
+        tbl.remove_at(slot, dist)
         mv[base] = last
         cap = mv[base + _CAP]
         if last == self.th1:

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from graphtango.baseline import AdListChunked, AdListShared
 from graphtango.core import Config, VertexRangeError
@@ -113,6 +115,46 @@ def test_shared_locks_serialize_updates():
     assert store.degree(0) == nper * nthreads
     nbrs = store.neighbors(0)
     assert len(np.unique(nbrs)) == nper * nthreads
+    store.check_invariants(0)
+    assert store.memory_bytes() == scanned_memory_bytes(store)
+
+
+def scanned_memory_bytes(store):
+    """memory_bytes by its definition: fixed words per vertex plus the
+    length of every edge array, summed by walking them all."""
+    words = sum(len(a) for st in store._sides for a in st.arrs if a is not None)
+    return store.num_vertices * store._per_vertex_overhead() + 8 * words
+
+
+_V = 80
+_HUBS = hs.integers(0, 2)  # few sources, so their arrays double several times
+_ADJ_OPS = hs.lists(hs.one_of(
+    hs.tuples(hs.just("insert"), _HUBS, hs.integers(0, _V - 1), hs.integers(0, 99)),
+    hs.tuples(hs.just("delete"), _HUBS, hs.integers(0, _V - 1)),
+    hs.tuples(hs.just("burst"), _HUBS, hs.integers(0, _V - 1), hs.integers(1, 40)),
+), min_size=1, max_size=60)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cls=hs.sampled_from([AdListShared, AdListChunked]), weighted=hs.booleans(),
+       directed=hs.booleans(), ops=_ADJ_OPS)
+def test_memory_bytes_matches_scan_of_arrays(cls, weighted, directed, ops):
+    store = cls(Config(weighted=weighted, directed=directed), _V)
+    sides = range(len(store._sides))
+    for op, u, w, *rest in ops:
+        if op == "insert":
+            store.insert_edge(u, w, rest[0] if weighted else None)
+        elif op == "delete":
+            store.delete_edge(u, w)
+        else:
+            for k in range(rest[0]):
+                store.insert_edge(u, (w + k) % _V, k if weighted else None)
+        assert store.memory_bytes() == scanned_memory_bytes(store)
+        for v in {u, w}:
+            for side in sides:
+                store.check_invariants(v, side, deep=True)
+    assert all(st.caps.tolist() == [0 if a is None else len(a) for a in st.arrs]
+               for st in store._sides)
 
 
 def test_three_formats_agree():

@@ -15,6 +15,7 @@ from graphtango.bench import harness
 from graphtango.bench.cli import main
 from graphtango.bench.data import EdgeList, gen_synthetic, load_snap, shuffle
 from graphtango.bench.harness import (
+    FORMATS,
     MAX_THREADS,
     REPORT_COLUMNS,
     WorkerSet,
@@ -344,6 +345,27 @@ def test_experiment_probe_hists_independent_of_thread_count():
     assert sum(sum(ins.values()) for ins, _ in hists[0]) > 1000
 
 
+@pytest.mark.parametrize("fmt", ["adlist-chunked", "adlist-shared"])
+def test_experiment_adlist_memory_independent_of_thread_count(fmt):
+    # Workers write the per-vertex capacities memory_bytes sums; with more
+    # workers than cores and frequent switches every batch's figure must
+    # still match the single-threaded run's.
+    el = shuffle(gen_synthetic("heavy", 3000, 30000, seed=7, weighted=True,
+                               directed=True), 7)
+    mems = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 3):
+            reports, _ = run_experiment(el, fmt, algorithms=(), batch_size=1000,
+                                        num_threads=threads)
+            mems.append([r.memory_bytes for r in reports])
+    finally:
+        sys.setswitchinterval(interval)
+    assert mems[0] == mems[1]
+    assert len(set(mems[0])) > 10  # the footprint moved across batches
+
+
 def sssp_reference(el, reports, batch_size):
     """Per-batch scipy distances on the live edge set, last writer wins."""
     live = {}
@@ -613,6 +635,20 @@ def test_thread_cap_checked_before_any_thread_starts(monkeypatch):
         run_experiment(el, "tango", num_threads=MAX_THREADS + 1)
     with pytest.raises(ValueError, match="MAX_THREADS"):
         run_th1_sweep(el, algorithms=(), num_threads=MAX_THREADS + 1)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("threads", [0, -1])
+def test_thread_count_below_one_refused_before_any_thread(monkeypatch, capsys, fmt, threads):
+    # Routing takes owners modulo the thread count, so 0 would apply nothing.
+    refuse_threads(monkeypatch)
+    el = gen_synthetic("short", 10, 50, seed=0)
+    with pytest.raises(ValueError, match=">= 1"):
+        run_experiment(el, fmt, num_threads=threads)
+    rc = main(["--synthetic", "short", "--vertices", "10", "--edges", "100",
+               "--format", fmt, "--threads", str(threads)])
+    assert rc == 2
+    assert ">= 1" in capsys.readouterr().err
 
 
 def test_cli_threads_above_cap_exits_2(monkeypatch, capsys):

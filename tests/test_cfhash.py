@@ -361,6 +361,37 @@ class OracleTable:
         for key, value in pairs:
             self.insert(key, value, kind=None)
 
+    # The store's Type3 append and delete as the parent wrote them: a find,
+    # then on a miss an insert (on a hit a remove), each a walk of its own.
+    def append(self, key, value):
+        got = self.find(key)
+        if got is None:
+            self.insert(key, value)
+        return got
+
+    def delete(self, key):
+        got = self.find(key)
+        if got is not None:
+            self.remove(key)
+        return got
+
+
+def table_call(t, op, args):
+    """Run op on CfhTable t; append and delete use one walk via the
+    slot-level calls, as the store does."""
+    if op == "append":
+        key, value = args
+        slot, got, dist = t.locate(key)
+        if got is None:
+            t.put_at(slot, key, value, dist)
+        return got
+    if op == "delete":
+        slot, got, dist = t.locate(args[0])
+        if got is not None:
+            t.remove_at(slot, dist)
+        return got
+    return getattr(t, op)(*args)
+
 
 # Few distinct keys, so probe paths cross and tombstones pile up on them.
 _KEYS = hs.one_of(hs.integers(0, 15), hs.integers(2**64 - 4, 2**64 - 3))
@@ -368,6 +399,8 @@ _OPS = hs.lists(hs.one_of(
     hs.tuples(hs.just("insert"), _KEYS, hs.integers(0, 2**64 - 1)),
     hs.tuples(hs.just("find"), _KEYS),
     hs.tuples(hs.just("remove"), _KEYS),
+    hs.tuples(hs.just("append"), _KEYS, hs.integers(0, 2**64 - 1)),
+    hs.tuples(hs.just("delete"), _KEYS),
     hs.tuples(hs.just("rebuild"), hs.sampled_from([0.5, 1, 2])),
     hs.tuples(hs.just("bulk_load"), hs.lists(hs.tuples(_KEYS, hs.integers(0, 99)),
                                              max_size=6)),
@@ -392,6 +425,10 @@ def _assert_same(t, o):
 # Key 12's path starts at the slots of 4 then 5: it must take 4's tombstone.
 @example(cap=16, n=8, ops=[("insert", 4, 1), ("insert", 5, 2), ("remove", 4),
                            ("remove", 5), ("insert", 12, 3)])
+# The same through the slot-level calls, and an append onto a full table.
+@example(cap=16, n=8, ops=[("append", 4, 1), ("append", 5, 2), ("delete", 4),
+                           ("delete", 5), ("append", 12, 3), ("append", 12, 4)]
+         + [("append", k, k) for k in range(6, 16)])
 def test_table_matches_straight_line_oracle(cap, n, ops):
     pool = MemoryPool(block_bytes=4096)
     t = CfhTable(cap, pool=pool, slots_per_line=n)
@@ -400,9 +437,9 @@ def test_table_matches_straight_line_oracle(cap, n, ops):
         if op == "rebuild":
             args = [max(n, int(t.capacity_slots * args[0]))]
         outcomes = []
-        for target in (t, o):
+        for call in (lambda: table_call(t, op, args), lambda: getattr(o, op)(*args)):
             try:
-                outcomes.append(("ok", getattr(target, op)(*args)))
+                outcomes.append(("ok", call()))
             except CapacityError:
                 outcomes.append(("raised", None))
         assert outcomes[0] == outcomes[1], (op, args)

@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+from graphtango.cfhash import CfhTable
 from graphtango.core import Config, VertexRangeError
 from graphtango.store import IN, OUT, TYPE1, TYPE2, TYPE3, TangoStore
 
@@ -312,6 +313,59 @@ def test_probe_stats_exposed():
     assert sum(snap["insert"].values()) > 200  # hash-backed appends recorded
     mean = sum(d * c for d, c in snap["insert"].items()) / sum(snap["insert"].values())
     assert mean < 2.0
+
+
+def test_type3_updates_log_one_walk_per_key(monkeypatch):
+    # An append's lookup walk ends where the new key goes, so it logs one
+    # distance under both find and insert; a delete tombstones the slot its
+    # lookup found and logs that distance twice under find, plus the moved
+    # edge's overwrite under insert. Only a full array, whose table is
+    # rebuilt before the append, walks again.
+    walks = []
+    walk = CfhTable._walk
+
+    def logged_walk(self, key, hist):
+        out = walk(self, key, hist)
+        if hist is not None:  # rebuild and bulk load walk without statistics
+            walks.append(out[2])
+        return out
+
+    monkeypatch.setattr(CfhTable, "_walk", logged_walk)
+    store = make_store(V=4000)
+    v = 3
+    for k in range(40):  # Type3 past th1 = 32, array cap 64, table 128 slots
+        store.insert_half(v, 100 + k)
+    tbl = store._sides[OUT].tables[v]
+
+    def delta(op, *args):
+        walks.clear()
+        before = store.probe_stats()
+        ret = op(v, *args)
+        after = store.probe_stats()
+        return ret, list(walks), {
+            kind: {d: c - before[kind].get(d, 0) for d, c in after[kind].items()
+                   if c != before[kind].get(d, 0)} for kind in after}
+
+    ret, w, hist = delta(store.insert_half, 500)
+    assert ret is True and len(w) == 1
+    assert hist == {"insert": {w[0]: 1}, "find": {w[0]: 1}}
+    ret, w, hist = delta(store.insert_half, 500)  # duplicate: lookup only
+    assert ret is False and hist == {"insert": {}, "find": {w[0]: 1}}
+    ret, w, hist = delta(store.delete_half, 100)  # index 0: the last edge moves
+    assert ret is True and len(w) == 2
+    assert hist == {"insert": {w[1]: 1}, "find": {w[0]: 2}}
+    ret, w, hist = delta(store.delete_half, int(store.neighbors(v)[-1]))  # nothing moves
+    assert ret is True and len(w) == 1
+    assert hist == {"insert": {}, "find": {w[0]: 2}}
+    ret, w, hist = delta(store.delete_half, 100)  # absent
+    assert ret is False and hist == {"insert": {}, "find": {w[0]: 1}}
+    for k in range(store.degree(v), 64):
+        store.insert_half(v, 1000 + k)
+    assert tbl.capacity_slots == 128 and store.degree(v) == 64
+    ret, w, hist = delta(store.insert_half, 600)  # full: rebuild, fresh walk
+    assert ret is True and len(w) == 2 and tbl.capacity_slots == 256
+    assert hist == {"insert": {w[1]: 1}, "find": {w[0]: 1}}
+    store.check_invariants(v, deep=True)
 
 
 def test_probe_stats_kept_per_partition_and_merged():
