@@ -4,13 +4,14 @@ The table hashes a key to a line and a starting slot, walks every slot of
 that line, then double-hashes to the next line. Two properties fall out:
 the first M*N probes visit every slot exactly once, and probes only cross
 a line boundary once per N steps. At load 0.5 nearly every insert finishes
-inside its first line.
+inside its first line. Each slot is one 8-byte word, key << 32 | value, so
+keys are below 2^32 - 1 and values below 2^32.
 """
 
 import numpy as np
 
 from graphtango import CfhTable, ProbeStats
-from graphtango.cfhash import probe_sequence
+from graphtango.cfhash import KEY_LIMIT, probe_sequence
 
 
 def main():
@@ -30,11 +31,13 @@ def main():
     rng = np.random.default_rng(7)
     stats = ProbeStats()
     tbl = CfhTable(2**16, stats=stats)
-    keys = np.unique(rng.integers(0, 2**63, size=40_000, dtype=np.uint64))[:2**15]
+    keys = np.unique(rng.integers(0, KEY_LIMIT, size=40_000, dtype=np.uint64))[:2**15]
     for i, k in enumerate(keys.tolist()):
         tbl.insert(k, i)
 
-    print(f"{tbl.live_count} keys at load {tbl.live_count / tbl.capacity_slots:.2f}")
+    print(f"{tbl.live_count} keys at load {tbl.live_count / tbl.capacity_slots:.2f}, "
+          f"{tbl.chunk_bytes // tbl.capacity_slots} bytes per slot "
+          f"({tbl.chunk_bytes} bytes for {tbl.capacity_slots} slots)")
     hist = stats.insert
     total = sum(hist.values())
     for dist in sorted(hist)[:10]:
@@ -44,7 +47,8 @@ def main():
           f"{stats.fraction_within('insert', 8):.1%} within one line")
 
     hit = tbl.find(int(keys[123]))
-    miss = tbl.find(2**63 + 1)
+    absent = int(np.setdiff1d(np.arange(100, dtype=np.uint64), keys)[0])
+    miss = tbl.find(absent)
     print(f"find(existing) -> {hit}, find(absent) -> {miss}")
 
 

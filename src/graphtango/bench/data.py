@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ParseError
+from ..core import MAX_VERTICES, ParseError
 
-# Original ids must fit the stores' key space; the top two 64-bit values
-# are reserved sentinels.
-MAX_VERTEX_ID = 2**64 - 3
+# Original ids may use all 64 bits: load_snap densifies them to [0, V) and
+# keeps them only in the uint64 remap table. Only the dense ids, at most
+# MAX_VERTICES of them, reach a store's 32-bit hash keys.
+MAX_VERTEX_ID = 2**64 - 1
 
 _SYNTH_KINDS = ("short_tailed", "heavy_tailed")
 _KIND_ALIASES = {"short": "short_tailed", "heavy": "heavy_tailed"}
@@ -79,7 +80,8 @@ def load_snap(path, *, weighted: bool = False, directed: bool = False) -> EdgeLi
     duplicates through exercises exactly that path.
 
     Raises ParseError (with the 1-based line number) on malformed lines,
-    ids outside [0, 2^64 - 3], or weights outside [0, 2^63 - 1].
+    ids outside [0, 2^64 - 1], more than MAX_VERTICES distinct ids, or
+    weights outside [0, 2^63 - 1].
     """
     srcs: list[int] = []
     dsts: list[int] = []
@@ -92,6 +94,8 @@ def load_snap(path, *, weighted: bool = False, directed: bool = False) -> EdgeLi
         idx = id_of.get(orig)
         if idx is None:
             idx = len(id_of)
+            if idx >= MAX_VERTICES:
+                raise ParseError(f"more than {MAX_VERTICES} distinct vertex ids", lineno)
             id_of[orig] = idx
         return idx
 
@@ -176,6 +180,8 @@ def gen_synthetic(
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if num_vertices < 1 or num_edges < num_vertices:
         raise ValueError("need num_edges >= num_vertices >= 1")
+    if num_vertices > MAX_VERTICES:
+        raise ValueError(f"num_vertices {num_vertices} exceeds MAX_VERTICES {MAX_VERTICES}")
 
     rng = np.random.default_rng(seed)
     srcs = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)

@@ -221,6 +221,7 @@ class BatchReport:
     algo_modes: dict = field(default_factory=dict)     # "full" | "incremental"
     probe_insert: dict = field(default_factory=dict)   # per-batch histogram delta
     probe_find: dict = field(default_factory=dict)
+    hash_bytes: int = 0             # part of memory_bytes held by hash tables
 
     @property
     def edges_per_s(self) -> float:
@@ -355,6 +356,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
 
                 live = store.live_edges()
                 mem = store.memory_bytes()
+                hash_bytes = store.hash_bytes
 
                 snap = None
                 snapshot_seconds = 0.0
@@ -404,6 +406,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                     snapshot_seconds=snapshot_seconds, algo_seconds=algo_seconds,
                     algo_rounds=algo_rounds, algo_modes=algo_modes,
                     probe_insert=probe_insert, probe_find=probe_find,
+                    hash_bytes=hash_bytes,
                 ))
                 if collect_values:
                     values_log.append(batch_values)
@@ -460,6 +463,7 @@ REPORT_COLUMNS = (
     "mean_bytes_per_edge", "total_seconds",
     "bfs_rounds", "pr_rounds", "sssp_rounds", "cc_rounds",
     "bfs_mode", "pr_mode", "sssp_mode", "cc_mode",
+    "hash_bytes",
 )
 
 SWEEP_COLUMNS = (
@@ -527,6 +531,7 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
             ]
             row += [r.algo_rounds.get(algo, "") for algo in KERNELS]
             row += [r.algo_modes.get(algo, "") for algo in KERNELS]
+            row.append(r.hash_bytes)
             writer.writerow(row)
         srow = ["summary", "summary", 2 * summary.num_edges] + [""] * 14
         srow += [
@@ -534,7 +539,7 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
             _num(summary.analytics_geomean_eps), _num(summary.mean_bytes_per_edge),
             _num(summary.total_seconds),
         ]
-        writer.writerow(srow + [""] * (2 * len(KERNELS)))
+        writer.writerow(srow + [""] * (2 * len(KERNELS) + 1))
 
 
 def emit_sweep_report(rows, path, *, report_format: str = "csv",

@@ -17,11 +17,13 @@ line walk is a full cycle and the whole sequence is a permutation of all
 M*N slots. Everything is shifts, masks, and two multiplies; no division
 anywhere. Every table operation goes through one walk of that sequence.
 
-Keys and values live in two parallel uint64 arrays packed into one pool
-chunk (a 64-byte line holds 8 keys; the matching values line is its twin in
-the second half of the chunk). Key 2^64-1 marks an empty slot, 2^64-2 a
-tombstone. The caller keeps load (live keys / slots) at or below 0.5; the
-table itself rebuilds in place when live + tombstone slots pass that bound.
+Each slot is one uint64 word, key << 32 | value, in a single pool chunk of
+8 bytes per slot, so a 64-byte line holds 8 whole (key, value) pairs and a
+hit reads its value from the line the walk already touched. Keys are below
+2^32 - 1 and values below 2^32. The word 2^64-1 marks an empty slot, 2^64-2
+a tombstone; their high half is 0xFFFFFFFF, which no legal key equals. The
+caller keeps load (live keys / slots) at or below 0.5; the table itself
+rebuilds in place when live + tombstone slots pass that bound.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ from .mempool import MemoryPool
 EMPTY_KEY = 2**64 - 1
 TOMBSTONE_KEY = 2**64 - 2
 _MASK64 = 2**64 - 1
+# A slot packs key << 32 | value: keys in [0, KEY_LIMIT), values in
+# [0, VALUE_LIMIT). KEY_LIMIT itself is the sentinels' high half.
+KEY_LIMIT = 2**32 - 1
+VALUE_LIMIT = 2**32
+_MASK32 = 2**32 - 1
+SLOT_BYTES = 8
 
 
 def _check_pow2(name: str, value: int) -> int:
@@ -125,18 +133,24 @@ class ProbeStats:
         return sum(c for d, c in hist.items() if d <= dist) / total
 
 
-class CfhTable:
-    """Line-confined double-hashing table mapping uint64 keys to uint64 values.
+def _check_pair(key: int, value: int) -> None:
+    if not 0 <= key < KEY_LIMIT:
+        raise ValueError(f"key {key} outside [0, 2^32 - 1)")
+    if not 0 <= value < VALUE_LIMIT:
+        raise ValueError(f"value {value} outside [0, 2^32)")
 
-    The slot arrays live in a single pool chunk: keys in the first half,
-    values in the second, so key probing never drags value lines through the
-    cache. capacity_slots must be a power of two and a multiple of
+
+class CfhTable:
+    """Line-confined double-hashing table mapping 32-bit keys to 32-bit values.
+
+    The slots live in a single pool chunk, one packed key << 32 | value word
+    each. capacity_slots must be a power of two and a multiple of
     slots_per_line; the caller's load contract is live_count <= capacity/2.
     """
 
     __slots__ = ("pool", "capacity_slots", "m_lines", "n_slots", "live_count",
                  "tombstone_count", "stats", "tracker", "_own_pool", "_log_n",
-                 "_chunk", "_keys", "_vals", "_kmv", "_shift3", "_shift4")
+                 "_chunk", "_words", "_wmv", "_shift3", "_shift4")
 
     def __init__(self, capacity_slots: int, *, pool: MemoryPool | None = None,
                  slots_per_line: int = 8, stats: ProbeStats | None = None):
@@ -162,14 +176,12 @@ class CfhTable:
         self.m_lines = m_lines
         self._shift3 = 64 - log_m
         self._shift4 = 64 - (log_m << 1)
-        self._chunk = self.pool.allocate(capacity_slots * 16)
-        view = self.pool.u64_view(self._chunk, capacity_slots * 2)
-        self._keys = view[:capacity_slots]
-        self._vals = view[capacity_slots:]
-        self._keys.fill(EMPTY_KEY)
-        # Single keys are read and written through a memoryview: about half
+        self._chunk = self.pool.allocate(capacity_slots * SLOT_BYTES)
+        self._words = self.pool.u64_view(self._chunk, capacity_slots)
+        self._words.fill(EMPTY_KEY)
+        # Single words are read and written through a memoryview: about half
         # the cost of a numpy scalar access, on every probe of every walk.
-        self._kmv = memoryview(self._keys)
+        self._wmv = memoryview(self._words)
 
     def _walk(self, key: int, hist: dict | None) -> tuple[int, bool, int]:
         """Walk key's probe sequence to the key or to the first empty slot.
@@ -178,12 +190,13 @@ class CfhTable:
         returns (slot, False, dist) with the slot a new key would take: the
         first tombstone on the path, else the empty slot that ended it, or
         -1 when the walk ran through every slot. dist is the probe distance
-        (slots read); it is added to hist unless hist is None.
+        (slots read); it is added to hist unless hist is None. A key outside
+        [0, KEY_LIMIT) is never stored, so its walk is a miss.
         """
         y = (key * HASH_CONSTANT_64) & _MASK64
         h3 = y >> self._shift3
         h4 = (y >> self._shift4) | 1
-        keys = self._kmv
+        words = self._wmv
         n = self.n_slots
         mask_n = n - 1
         mask_m = self.m_lines - 1
@@ -196,15 +209,18 @@ class CfhTable:
                 tr.add(("hash", base >> log_n))
             for x in range(n):
                 slot = base | ((key + x) & mask_n)
-                k = keys[slot]
-                if k == key or k == EMPTY_KEY:
+                w = words[slot]
+                # Only key KEY_LIMIT shares the sentinels' high half; the
+                # second test, reached on a hit alone, keeps it a miss.
+                hit = w >> 32 == key and w < TOMBSTONE_KEY
+                if hit or w == EMPTY_KEY:
                     dist = (line << log_n) + x + 1
                     if hist is not None:
                         hist[dist] = hist.get(dist, 0) + 1
-                    if k == key:
+                    if hit:
                         return slot, True, dist
                     return (slot if free < 0 else free), False, dist
-                if free < 0 and k == TOMBSTONE_KEY:
+                if free < 0 and w == TOMBSTONE_KEY:
                     free = slot
         dist = self.capacity_slots
         if hist is not None:
@@ -216,7 +232,7 @@ class CfhTable:
     def find(self, key: int) -> int | None:
         """Value stored for key, or None. Skips tombstones, stops at empty."""
         slot, hit, _ = self._walk(key, self.stats.find)
-        return self._vals.item(slot) if hit else None
+        return self._wmv[slot] & _MASK32 if hit else None
 
     def locate(self, key: int) -> tuple[int, int | None, int]:
         """find() that also returns where its walk ended: (slot, value, dist).
@@ -229,16 +245,18 @@ class CfhTable:
         value keeps it.
         """
         slot, hit, dist = self._walk(key, self.stats.find)
-        return slot, (self._vals.item(slot) if hit else None), dist
+        return slot, (self._wmv[slot] & _MASK32 if hit else None), dist
 
     def insert(self, key: int, value: int) -> bool:
         """Insert key -> value (True) or overwrite an existing key (False).
 
         A new key lands in the first tombstone seen on its probe path if the
         path ends at an empty slot, per standard open-addressing reuse.
-        Raises CapacityError if a new key would push live count past
+        Raises ValueError for a key outside [0, 2^32 - 1) or a value outside
+        [0, 2^32), CapacityError if a new key would push live count past
         capacity/2.
         """
+        _check_pair(key, value)
         return self._put(key, value, self.stats.insert)
 
     def put_at(self, slot: int, key: int, value: int, dist: int) -> None:
@@ -246,7 +264,8 @@ class CfhTable:
 
         The same placement as insert() without a second walk: dist goes
         under 'insert' as that walk's would, then the same capacity checks,
-        tombstone accounting and tombstone-pressure purge.
+        tombstone accounting and tombstone-pressure purge. Unlike insert(),
+        it leaves the key and value ranges to the caller.
         """
         hist = self.stats.insert
         hist[dist] = hist.get(dist, 0) + 1
@@ -256,7 +275,7 @@ class CfhTable:
         """insert(), adding the probe distance to hist unless it is None."""
         slot, hit, _ = self._walk(key, hist)
         if hit:
-            self._vals[slot] = value
+            self._wmv[slot] = key << 32 | value
             return False
         self._place(slot, key, value)
         return True
@@ -270,10 +289,9 @@ class CfhTable:
         if live > half:
             raise CapacityError(
                 f"insert would push live count past capacity/2 ({live} > {half})")
-        keys = self._kmv
-        reused_tomb = keys[slot] == TOMBSTONE_KEY
-        keys[slot] = key
-        self._vals[slot] = value
+        words = self._wmv
+        reused_tomb = words[slot] == TOMBSTONE_KEY
+        words[slot] = key << 32 | value
         self.live_count = live
         if reused_tomb:
             self.tombstone_count -= 1
@@ -297,7 +315,7 @@ class CfhTable:
         self._tombstone(slot)
 
     def _tombstone(self, slot: int) -> None:
-        self._kmv[slot] = TOMBSTONE_KEY
+        self._wmv[slot] = TOMBSTONE_KEY
         self.live_count -= 1
         self.tombstone_count += 1
 
@@ -318,32 +336,31 @@ class CfhTable:
             )
         live = self.items()
         if new_capacity_slots == self.capacity_slots:
-            self._keys.fill(EMPTY_KEY)
+            self._words.fill(EMPTY_KEY)
         else:
-            old_chunk, old_cap = self._chunk, self.capacity_slots
+            old_chunk, old_bytes = self._chunk, self.chunk_bytes
             self._set_capacity(new_capacity_slots)
-            self.pool.deallocate(old_chunk, old_cap * 16)
+            self.pool.deallocate(old_chunk, old_bytes)
         self.tombstone_count = 0
         # The cleared table holds no tombstones and the keys are distinct,
         # so each key takes the empty slot its walk ends at.
-        keys, vals, walk = self._kmv, self._vals, self._walk
+        words, walk = self._wmv, self._walk
         for key, value in live:
-            slot = walk(key, None)[0]
-            keys[slot] = key
-            vals[slot] = value
+            words[walk(key, None)[0]] = key << 32 | value
 
     def bulk_load(self, pairs) -> None:
         """Insert each (key, value) pair as insert() would, without probe
         statistics: how the store indexes an existing edge array."""
         for key, value in pairs:
+            _check_pair(key, value)
             self._put(key, value, None)
 
     def release(self) -> None:
         """Free the slot chunk. The table is unusable afterwards."""
         if self._chunk:
-            self.pool.deallocate(self._chunk, self.capacity_slots * 16)
+            self.pool.deallocate(self._chunk, self.chunk_bytes)
             self._chunk = 0
-            self._keys = self._vals = self._kmv = None
+            self._words = self._wmv = None
             if self._own_pool:
                 self.pool.close()
 
@@ -351,15 +368,16 @@ class CfhTable:
 
     def items(self) -> list[tuple[int, int]]:
         """Live (key, value) pairs in slot order."""
-        mask = (self._keys != np.uint64(EMPTY_KEY)) & (self._keys != np.uint64(TOMBSTONE_KEY))
-        return list(zip(self._keys[mask].tolist(), self._vals[mask].tolist()))
+        live = self._words[self._words < np.uint64(TOMBSTONE_KEY)]
+        return list(zip((live >> np.uint64(32)).tolist(),
+                        (live & np.uint64(_MASK32)).tolist()))
 
     @property
     def chunk_bytes(self) -> int:
-        return self.capacity_slots * 16
+        return self.capacity_slots * SLOT_BYTES
 
     def key_array_pointer(self) -> int:
-        """Machine address of the key array, for alignment checks."""
+        """Machine address of the slot array, for alignment checks."""
         return self.pool.real_pointer(self._chunk)
 
     def probe_stats(self) -> dict:

@@ -11,8 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 # Fibonacci multiplicative hash constant, floor(2^64 / golden ratio):
-# the line-confined hash multiplies every 64-bit key by it.
+# the line-confined hash multiplies every key by it, modulo 2^64.
 HASH_CONSTANT_64 = 0x9E3779B97F4A7C15
+
+# Most vertices a store or dataset may hold. Ids then stay <= 2^32 - 2 and
+# edge-array indices < 2^32, so a Type3 hash slot packs id << 32 | index
+# into one word whose high half never equals a sentinel's (0xFFFFFFFF).
+MAX_VERTICES = 2**32 - 1
 
 # Edge directions: every store keeps an OUT side; directed stores add IN.
 OUT = 0
@@ -108,6 +113,8 @@ class GraphStore:
     single-direction operations: insert_half, delete_half, neighbors,
     neighbor_props and stored_edges.
     """
+
+    hash_bytes = 0  # pool bytes held by hash tables; only the hybrid store has any
 
     def _check_vertex(self, v: int) -> None:
         if v < 0 or v >= self.num_vertices:

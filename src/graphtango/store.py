@@ -11,7 +11,9 @@ on how many edges the vertex currently has:
   pool chunk with a contiguous edge array. Lookups scan the array.
 * Type3 (deg > TH1): same edge array plus a line-confined hash table
   mapping dst -> array index, sized at 2 x capacity slots so load never
-  passes 0.5. Lookups are O(1) probes instead of an O(deg) scan.
+  passes 0.5. Each slot is one 8-byte word, dst << 32 | index, so the table
+  costs 16 bytes per edge-array slot. Lookups are O(1) probes instead of an
+  O(deg) scan.
 
 Transitions are exact threshold crossings with geometric capacity changes:
 an append into a full array doubles it, a delete that leaves deg == cap/4
@@ -21,7 +23,9 @@ kept packed by moving the last edge into any deleted slot.
 
 Edge arrays and hash chunks come from per-worker-thread memory pools;
 vertex v's chunks always come from pool partition_of(v), so every free goes
-back to the pool that allocated it.
+back to the pool that allocated it. The store keeps a running count of
+the pool bytes its hash tables hold (hash_bytes), per partition like the
+probe histograms.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 
 from .cfhash import CfhTable, ProbeStats
 from .core import IN, OUT  # re-exported: callers import the directions from here
-from .core import SCAN_LIMIT, Config, GraphStore, VertexRangeError, next_pow2, partition_of
+from .core import (MAX_VERTICES, SCAN_LIMIT, Config, GraphStore, VertexRangeError,
+                   next_pow2, partition_of)
 from .mempool import MemoryPool, alloc_aligned
 
 TYPE1 = 1
@@ -76,6 +81,9 @@ class TangoStore(GraphStore):
                  debug: bool = False):
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(f"num_vertices {num_vertices} exceeds MAX_VERTICES "
+                             f"{MAX_VERTICES}: vertex ids must fit a 32-bit hash key")
         self.config = config
         self.num_vertices = num_vertices
         self.num_threads = num_threads
@@ -95,6 +103,7 @@ class TangoStore(GraphStore):
         # One histogram set per pool partition: a partition's tables are only
         # touched by its owner worker, so no two threads update one dict.
         self._probe = [ProbeStats() for _ in range(num_threads)]
+        self._hash_bytes = [0] * num_threads  # chunk bytes of each partition's tables
         self.resize_copies = 0  # edges copied by grows, shrinks, type switches
         self.tracker = None
 
@@ -137,9 +146,19 @@ class TangoStore(GraphStore):
         step = self._ew
         tbl.bulk_load((view.item(j * step), j) for j in range(deg))
         side.tables[v] = tbl
+        self._hash_bytes[part] += tbl.chunk_bytes
         mf[base + _HASH] = tbl._chunk
         mf[base + _HASHCAP] = tbl.capacity_slots
         return tbl
+
+    def _resize_table(self, mv, v: int, base: int, tbl: CfhTable, slots: int) -> None:
+        """Rebuild v's table at slots and point the meta record at it."""
+        part = (v // self._psize) % self.num_threads
+        self._hash_bytes[part] -= tbl.chunk_bytes
+        tbl.rebuild(slots)
+        self._hash_bytes[part] += tbl.chunk_bytes
+        mv[base + _HASH] = tbl._chunk
+        mv[base + _HASHCAP] = tbl.capacity_slots
 
     # -- single-direction operations ------------------------------------------
 
@@ -248,9 +267,7 @@ class TangoStore(GraphStore):
         cap = mv[base + _CAP]
         if deg == cap:
             view = self._resize_array(st, v, base, deg, cap, cap * 2)
-            tbl.rebuild(4 * cap)
-            mv[base + _HASH] = tbl._chunk
-            mv[base + _HASHCAP] = tbl.capacity_slots
+            self._resize_table(mv, v, base, tbl, 4 * cap)
             tbl.insert(nbr, deg)
         else:
             tbl.put_at(slot, nbr, deg, dist)
@@ -360,15 +377,14 @@ class TangoStore(GraphStore):
         if last == self.th1:
             # Type3 -> Type2: halve the array, drop the hash table.
             self._resize_array(st, v, base, last, cap, cap >> 1)
+            self._hash_bytes[(v // self._psize) % self.num_threads] -= tbl.chunk_bytes
             tbl.release()
             st.tables[v] = None
             mv[base + _HASH] = 0
             mv[base + _HASHCAP] = 0
         elif last == cap >> 2:
             self._resize_array(st, v, base, last, cap, cap >> 1)
-            tbl.rebuild(cap)  # 2 x the halved capacity
-            mv[base + _HASH] = tbl._chunk
-            mv[base + _HASHCAP] = tbl.capacity_slots
+            self._resize_table(mv, v, base, tbl, cap)  # 2 x the halved capacity
         return True
 
     # -- cursors and introspection ----------------------------------------------
@@ -496,6 +512,11 @@ class TangoStore(GraphStore):
         return b
 
     @property
+    def hash_bytes(self) -> int:
+        """Pool bytes held by Type3 hash tables, part of memory_bytes()."""
+        return sum(self._hash_bytes)
+
+    @property
     def stats(self) -> ProbeStats:
         """Probe histograms summed over every partition (a fresh copy)."""
         return ProbeStats.merged(self._probe)
@@ -520,7 +541,7 @@ class TangoStore(GraphStore):
 
     def check_invariants(self, v: int, side: int = OUT, deep: bool = False) -> None:
         """Assert the layout invariants for one vertex; deep adds the
-        hash/array coherence scan."""
+        hash/array coherence scan and checks hash_bytes against every table."""
         st = self._sides[side]
         mf = st.meta
         base = v * self._line_words
@@ -528,6 +549,9 @@ class TangoStore(GraphStore):
         ew = self._ew
         view, tbl = st.views[v], st.tables[v]
         assert 0 <= deg <= self.num_vertices, f"v{v}: absurd degree {deg}"
+        if deep:
+            held = sum(t.chunk_bytes for s in self._sides for t in s.tables if t is not None)
+            assert self.hash_bytes == held, f"hash_bytes {self.hash_bytes} != {held} held"
         if deg <= self.th0:
             assert view is None and tbl is None, f"v{v}: Type1 with external storage"
             return

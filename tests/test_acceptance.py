@@ -22,7 +22,7 @@ from graphtango.analytics import build_snapshot, run_bfs, run_cc, run_pr, run_ss
 from graphtango.baseline import AdListChunked, AdListShared
 from graphtango.bench.data import gen_synthetic, shuffle
 from graphtango.bench.harness import geomean, run_experiment, run_th1_sweep
-from graphtango.cfhash import CfhTable, ProbeStats, probe_sequence
+from graphtango.cfhash import KEY_LIMIT, CfhTable, ProbeStats, probe_sequence
 from graphtango.core import Config
 from graphtango.mempool import MemoryPool, size_class
 from graphtango.store import OUT, TYPE1, TYPE3, TangoStore
@@ -73,7 +73,7 @@ def test_criterion_2_probing_distance():
     the final (worst-case) load is reported alongside for context.
     """
     rng = np.random.default_rng(2)
-    keys = np.unique(rng.integers(0, 2**63, size=1_050_000, dtype=np.uint64))
+    keys = np.unique(rng.integers(0, KEY_LIMIT, size=1_050_000, dtype=np.uint64))
     assert len(keys) >= 1_000_000
     keys = keys[:1_000_000]
     rng.shuffle(keys)
@@ -88,10 +88,11 @@ def test_criterion_2_probing_distance():
     frac8 = stats.fraction_within("insert", 8)
     miss_mean = stats.mean_insert_distance()
 
-    # Context only: probe cost for absent keys at the final load, drawn from
-    # the disjoint upper half of the key space.
+    # Context only: probe cost for absent keys at the final load, legal keys
+    # drawn from the same domain minus the stored ones.
     find_before = dict(stats.find)
-    misses = rng.integers(2**63, 2**64 - 2, size=100_000, dtype=np.uint64)
+    misses = np.setdiff1d(rng.integers(0, KEY_LIMIT, size=100_100, dtype=np.uint64),
+                          keys)[:100_000]
     find = tbl.find
     for key in misses.tolist():
         assert find(key) is None

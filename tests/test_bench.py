@@ -1,8 +1,10 @@
 """Dataset loading/generation, the batched harness, and report emission."""
 
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from graphtango import Config, ParseError, TangoStore
 from graphtango.analytics import KERNELS
-from graphtango.bench import harness
+from graphtango.bench import data, harness
 from graphtango.bench.cli import main
 from graphtango.bench.data import EdgeList, gen_synthetic, load_snap, shuffle
 from graphtango.bench.harness import (
@@ -27,7 +29,7 @@ from graphtango.bench.harness import (
     run_experiment,
     run_th1_sweep,
 )
-from graphtango.core import partition_of
+from graphtango.core import MAX_VERTICES, partition_of
 
 
 def write(tmp_path, text, name="g.snap"):
@@ -72,6 +74,22 @@ def test_load_snap_errors_carry_line_numbers(tmp_path, text, lineno, frag):
         load_snap(p, weighted=True)
     assert exc.value.lineno == lineno
     assert frag in str(exc.value)
+
+
+def test_load_snap_keeps_64_bit_original_ids(tmp_path):
+    p = write(tmp_path, f"{2**64 - 1} 0\n0 {2**63}\n")
+    el = load_snap(p)
+    assert el.num_vertices == 3
+    assert el.remap.tolist() == [2**64 - 1, 0, 2**63]
+
+
+def test_load_snap_refuses_more_than_max_vertices(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "MAX_VERTICES", 3)
+    assert load_snap(write(tmp_path, "10 20\n20 30\n30 10\n")).num_vertices == 3
+    p = write(tmp_path, "10 20\n20 30\n30 40\n", name="four.snap")
+    with pytest.raises(ParseError, match="more than 3 distinct") as exc:
+        load_snap(p)
+    assert exc.value.lineno == 3
 
 
 def test_load_snap_directed_flag_propagates(tmp_path):
@@ -127,6 +145,15 @@ def test_synthetic_validation():
         gen_synthetic("short", 100, 99, seed=0)  # E < V
     with pytest.raises(ValueError):
         gen_synthetic("short", 0, 0, seed=0)
+
+
+def test_synthetic_refuses_more_than_max_vertices(monkeypatch):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(data.np.random, "default_rng", no_generation)
+    with pytest.raises(ValueError, match="MAX_VERTICES"):
+        gen_synthetic("short", MAX_VERTICES + 1, MAX_VERTICES + 1, seed=0)
 
 
 # -- geomean -----------------------------------------------------------------
@@ -327,9 +354,10 @@ def test_experiment_deterministic_across_runs():
 
 def test_experiment_probe_hists_independent_of_thread_count():
     # Each vertex sees the same op order under any thread count, so every
-    # batch's probe histograms must match the single-threaded run's.
-    # Three workers and a tiny switch interval interleave the threads often
-    # enough for a lost histogram update to show within one run.
+    # batch's probe histograms and hash_bytes must match the single-threaded
+    # run's. Three workers and a tiny switch interval interleave the threads
+    # often enough for a lost histogram or hash_bytes update to show within
+    # one run.
     el = shuffle(gen_synthetic("heavy", 3000, 30000, seed=7), 7)
     hists = []
     interval = sys.getswitchinterval()
@@ -338,11 +366,12 @@ def test_experiment_probe_hists_independent_of_thread_count():
         for threads in (1, 3):
             reports, _ = run_experiment(el, "tango", algorithms=(), batch_size=1000,
                                         num_threads=threads)
-            hists.append([(r.probe_insert, r.probe_find) for r in reports])
+            hists.append([(r.probe_insert, r.probe_find, r.hash_bytes) for r in reports])
     finally:
         sys.setswitchinterval(interval)
     assert hists[0] == hists[1]
-    assert sum(sum(ins.values()) for ins, _ in hists[0]) > 1000
+    assert sum(sum(ins.values()) for ins, _, _ in hists[0]) > 1000
+    assert len({h for _, _, h in hists[0]}) > 10  # tables were built, resized and freed
 
 
 @pytest.mark.parametrize("fmt", ["adlist-chunked", "adlist-shared"])
@@ -475,11 +504,14 @@ def test_report_roundtrips_exactly(tmp_path, report_format):
         assert row["bfs_s"] == r.algo_seconds["bfs"]
         assert row["pr_s"] is None                  # not requested
         assert row["analytics_s"] == r.analytics_seconds
+        assert row["hash_bytes"] == r.hash_bytes
+    assert header[-1] == "hash_bytes"
     s = rows[-1]
     assert s["insert_geomean_eps"] == summary.insert_geomean_eps
     assert s["delete_geomean_eps"] == summary.delete_geomean_eps
     assert s["mean_bytes_per_edge"] == summary.mean_bytes_per_edge
     assert s["total_seconds"] == summary.total_seconds
+    assert s["hash_bytes"] is None
 
 
 def test_report_carries_kernel_rounds_and_modes(tmp_path, monkeypatch):
@@ -501,7 +533,7 @@ def test_report_carries_kernel_rounds_and_modes(tmp_path, monkeypatch):
     assert tuple(header) == REPORT_COLUMNS
     # Columns that predate the rounds/mode columns keep their positions.
     assert header.index("total_seconds") == 21
-    assert header[22:] == [f"{k}_rounds" for k in KERNELS] + [f"{k}_mode" for k in KERNELS]
+    assert header[22:30] == [f"{k}_rounds" for k in KERNELS] + [f"{k}_mode" for k in KERNELS]
     assert len(results) == 4 * len(reports)
     for i, row in enumerate(rows[:-1]):
         for res in results[4 * i:4 * i + 4]:
@@ -509,6 +541,41 @@ def test_report_carries_kernel_rounds_and_modes(tmp_path, monkeypatch):
             assert row[f"{res.name}_mode"] == res.mode
     assert {r.mode for r in results} == {"full", "incremental"}
     assert all(rows[-1][c] is None for c in header[22:])
+
+
+def test_hash_bytes_is_the_tables_share_of_memory(tmp_path):
+    el = shuffle(gen_synthetic("heavy", 200, 3000, seed=13, weighted=True), 13)
+    for fmt in FORMATS:
+        reports, summary = run_experiment(el, fmt, algorithms=(), batch_size=500)
+        if fmt == "tango":
+            # Builds, doublings and releases all show; every table is gone
+            # with the last edge.
+            assert len({r.hash_bytes for r in reports}) > 2
+            assert all(0 <= r.hash_bytes < r.memory_bytes for r in reports)
+            assert reports[-1].hash_bytes == 0
+        else:
+            assert all(r.hash_bytes == 0 for r in reports)
+        path = tmp_path / f"{fmt}.csv"
+        emit_report(reports, summary, path)
+        _, _, rows = parse_report(path)
+        assert [row["hash_bytes"] for row in rows] == [r.hash_bytes for r in reports] + [None]
+
+
+def test_probe_histograms_match_golden():
+    # A probe sequence depends only on the key and the table size, never on
+    # how a slot encodes its entry, so these recorded histograms must not
+    # move under any change to the slot layout.
+    golden = json.loads((Path(__file__).parent / "data" / "heavy_probe_golden.json").read_text())
+    el = gen_synthetic("heavy", 2000, 20000, seed=5)
+    reports, _ = run_experiment(el, "tango", config=Config(th1=8), algorithms=(),
+                                batch_size=2000)
+    got = [{"phase": r.phase, "live_edges": r.live_edges,
+            "probe_insert": {str(d): c for d, c in sorted(r.probe_insert.items())},
+            "probe_find": {str(d): c for d, c in sorted(r.probe_find.items())}}
+           for r in reports]
+    assert len(got) == len(golden) == 20
+    for i, (g, want) in enumerate(zip(got, golden)):
+        assert g == want, f"batch {i}"
 
 
 def test_report_deterministic_bytes(tmp_path):
@@ -649,6 +716,17 @@ def test_thread_count_below_one_refused_before_any_thread(monkeypatch, capsys, f
                "--format", fmt, "--threads", str(threads)])
     assert rc == 2
     assert ">= 1" in capsys.readouterr().err
+
+
+def test_cli_vertices_above_max_exit_2_before_generation(monkeypatch, capsys):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(data.np.random, "default_rng", no_generation)
+    rc = main(["--synthetic", "short", "--vertices", "4294967296",
+               "--edges", "4294967296"])
+    assert rc == 2
+    assert "MAX_VERTICES" in capsys.readouterr().err
 
 
 def test_cli_threads_above_cap_exits_2(monkeypatch, capsys):

@@ -7,7 +7,9 @@ from hypothesis import strategies as hs
 
 from graphtango.cfhash import (
     EMPTY_KEY,
+    KEY_LIMIT,
     TOMBSTONE_KEY,
+    VALUE_LIMIT,
     CfhTable,
     ProbeStats,
     hash_probe,
@@ -135,7 +137,7 @@ def test_probe_stats_recording():
 
 def test_remove_records_exhausted_walk_like_find():
     t = CfhTable(16)
-    t._keys.fill(TOMBSTONE_KEY)  # no empty slot: every walk runs out
+    t._words.fill(TOMBSTONE_KEY)  # no empty slot: every walk runs out
     assert t.find(5) is None
     assert t.remove(5) is False
     assert t.probe_stats()["find"] == {16: 2}
@@ -146,10 +148,12 @@ def test_dict_oracle_equivalence():
     rng = random.Random(1234)
     t = CfhTable(256)
     oracle = {}
+    # Mostly small keys, plus the top of the key domain; values reach 2^32 - 1.
+    keys = list(range(190)) + [KEY_LIMIT - 1 - i for i in range(10)]
     for step in range(6000):
-        key = rng.randrange(200)
+        key = rng.choice(keys)
         if rng.random() < 0.6 and len(oracle) < 128:
-            val = rng.randrange(1 << 50)
+            val = VALUE_LIMIT - 1 if rng.random() < 0.1 else rng.randrange(VALUE_LIMIT)
             assert t.insert(key, val) == (key not in oracle)
             oracle[key] = val
         else:
@@ -220,7 +224,7 @@ def test_rebuild_resizes():
         t.rebuild(16)  # 10 live keys need at least 32 slots
     t.rebuild(128)
     assert t.capacity_slots == 128
-    assert pool.stats()["bytes_in_use"] == 128 * 16
+    assert pool.stats()["bytes_in_use"] == 128 * 8
     for k in range(10):
         assert t.find(k) == k * 7
     t.rebuild(32)
@@ -251,10 +255,13 @@ def test_bulk_load_matches_inserts():
 def test_keys_and_values_share_one_chunk():
     pool = MemoryPool(debug=True)
     t = CfhTable(64, pool=pool)
-    assert pool.stats()["bytes_in_use"] == 64 * 16  # keys + values together
-    assert t.chunk_bytes == 64 * 16
-    assert t.key_array_pointer() % 64 == 0  # line-aligned key array
+    assert pool.stats()["bytes_in_use"] == 64 * 8  # one 8-byte word per slot
+    assert t.chunk_bytes == 64 * 8
+    assert t.key_array_pointer() % 64 == 0  # line-aligned slot array
     t.insert(7, 70)
+    slot, value, _ = t.locate(7)
+    assert value == 70
+    assert t._words.item(slot) == 7 << 32 | 70  # key and value in one word
     t.release()
     assert pool.stats()["bytes_in_use"] == 0
     pool.close()
@@ -264,9 +271,47 @@ def test_empty_and_tombstone_are_reserved():
     t = CfhTable(64)
     assert EMPTY_KEY == 2**64 - 1
     assert TOMBSTONE_KEY == 2**64 - 2
-    t.insert(2**64 - 3, 1)  # largest legal key works
-    assert t.find(2**64 - 3) == 1
+    assert KEY_LIMIT == 2**32 - 1 == EMPTY_KEY >> 32 == TOMBSTONE_KEY >> 32
+    t.insert(2**32 - 2, 2**32 - 1)  # largest legal key and value work
+    assert t.find(2**32 - 2) == 2**32 - 1
+    t.insert(0, 0)
+    assert t.find(0) == 0
+    assert sorted(t.items()) == [(0, 0), (2**32 - 2, 2**32 - 1)]
+    # Key 2^32 - 1 shares the sentinels' high half: lookups of it and of
+    # larger keys miss, past empty slots and tombstones alike.
+    assert t.remove(0)
+    for key in (2**32 - 1, 2**32, 2**64 - 3, 2**64 - 1):
+        assert t.find(key) is None
+        assert t.remove(key) is False
+        assert t.locate(key)[1] is None
+    t._words.fill(TOMBSTONE_KEY)
+    assert t.find(2**32 - 1) is None
     t.release()
+
+
+@pytest.mark.parametrize("key,value", [
+    (2**32 - 1, 0), (2**32, 0), (2**64 - 3, 0), (-1, 0),
+    (0, 2**32), (0, 2**64 - 1), (0, -1),
+])
+def test_out_of_domain_pairs_are_refused(key, value):
+    t = CfhTable(64)
+    t.insert(1, 1)
+    with pytest.raises(ValueError):
+        t.insert(key, value)
+    with pytest.raises(ValueError):
+        t.bulk_load([(key, value)])
+    assert t.items() == [(1, 1)]
+    assert (t.live_count, t.tombstone_count) == (1, 0)
+    t.release()
+
+
+@given(key=hs.integers(0, KEY_LIMIT - 1), value=hs.integers(0, VALUE_LIMIT - 1))
+@example(key=KEY_LIMIT - 1, value=VALUE_LIMIT - 1)
+@example(key=0, value=0)
+def test_no_legal_packed_word_is_a_sentinel(key, value):
+    word = key << 32 | value
+    assert word < TOMBSTONE_KEY < EMPTY_KEY
+    assert (word >> 32, word & (VALUE_LIMIT - 1)) == (key, value)
 
 
 def test_probe_stats_helpers():
@@ -393,13 +438,15 @@ def table_call(t, op, args):
     return getattr(t, op)(*args)
 
 
-# Few distinct keys, so probe paths cross and tombstones pile up on them.
-_KEYS = hs.one_of(hs.integers(0, 15), hs.integers(2**64 - 4, 2**64 - 3))
+# Few distinct keys, so probe paths cross and tombstones pile up on them;
+# the largest legal keys and values are among them.
+_KEYS = hs.one_of(hs.integers(0, 15), hs.integers(KEY_LIMIT - 2, KEY_LIMIT - 1))
+_VALUES = hs.one_of(hs.integers(0, VALUE_LIMIT - 1), hs.just(VALUE_LIMIT - 1))
 _OPS = hs.lists(hs.one_of(
-    hs.tuples(hs.just("insert"), _KEYS, hs.integers(0, 2**64 - 1)),
+    hs.tuples(hs.just("insert"), _KEYS, _VALUES),
     hs.tuples(hs.just("find"), _KEYS),
     hs.tuples(hs.just("remove"), _KEYS),
-    hs.tuples(hs.just("append"), _KEYS, hs.integers(0, 2**64 - 1)),
+    hs.tuples(hs.just("append"), _KEYS, _VALUES),
     hs.tuples(hs.just("delete"), _KEYS),
     hs.tuples(hs.just("rebuild"), hs.sampled_from([0.5, 1, 2])),
     hs.tuples(hs.just("bulk_load"), hs.lists(hs.tuples(_KEYS, hs.integers(0, 99)),
@@ -408,14 +455,13 @@ _OPS = hs.lists(hs.one_of(
 
 
 def _assert_same(t, o):
-    keys = t._keys.tolist()
+    words = t._words.tolist()
     assert t.capacity_slots == o.cap
-    assert keys == o.keys
-    # Values under empty or tombstoned keys are stale memory, not state.
-    live = [i for i, k in enumerate(keys) if k not in (EMPTY_KEY, TOMBSTONE_KEY)]
-    assert [t._vals.item(i) for i in live] == [o.vals[i] for i in live]
+    # Every slot word is the sentinel or the packed (key, value) the oracle holds.
+    assert words == [k if k in (EMPTY_KEY, TOMBSTONE_KEY) else k << 32 | v
+                     for k, v in zip(o.keys, o.vals)]
     assert (t.live_count, t.tombstone_count) == (o.live, o.tomb)
-    assert t.tombstone_count == keys.count(TOMBSTONE_KEY)
+    assert t.tombstone_count == words.count(TOMBSTONE_KEY)
     assert t.live_count + t.tombstone_count <= t.capacity_slots // 2
     assert t.probe_stats() == o.hist
 

@@ -4,8 +4,9 @@ import statistics
 import numpy as np
 import pytest
 
+from graphtango import store as store_mod
 from graphtango.cfhash import CfhTable
-from graphtango.core import Config, VertexRangeError
+from graphtango.core import MAX_VERTICES, Config, VertexRangeError
 from graphtango.store import IN, OUT, TYPE1, TYPE2, TYPE3, TangoStore
 
 
@@ -282,6 +283,51 @@ def test_memory_accounting():
     assert store.memory_bytes() == V * 64 + 128
     d = make_store(V=V, directed=True)
     assert d.memory_bytes() == V * 128
+
+
+def held_hash_bytes(store):
+    return sum(t.chunk_bytes for side in store._sides for t in side.tables if t is not None)
+
+
+@pytest.mark.parametrize("weighted,directed,num_threads", [
+    (False, False, 1), (True, True, 2), (False, True, 3)])
+def test_hash_bytes_tracks_every_table(weighted, directed, num_threads):
+    # Hubs in several partitions climb through builds and doubling rebuilds,
+    # then fall back through halving rebuilds and releases.
+    store = make_store(V=2048, num_threads=num_threads, weighted=weighted,
+                       directed=directed, partition_size=512)
+    hubs = (3, 700, 1500)
+    meta = 2048 * 64 * (2 if directed else 1)
+    seen = set()
+    ops = [(True, k) for k in range(300)] + [(False, k) for k in reversed(range(300))]
+    for insert, k in ops:
+        for h in hubs:
+            nbr = 1 + (h + 7 * k) % 2047
+            if insert:
+                store.insert_edge(h, nbr, 1 if weighted else None)
+            else:
+                store.delete_edge(h, nbr)
+        held = held_hash_bytes(store)
+        assert store.hash_bytes == held
+        seen.add(held)
+        # The rest of memory_bytes is the meta lines and the edge arrays.
+        arrays = sum(8 * len(view) for side in store._sides for view in side.views
+                     if view is not None)
+        assert store.memory_bytes() - meta - store.hash_bytes == arrays
+    assert len(seen) >= 4  # builds, doublings, halvings and releases all ran
+    assert store.hash_bytes == 0
+    for h in hubs:
+        store.check_invariants(h, deep=True)
+
+
+def test_vertex_count_bound(monkeypatch):
+    assert MAX_VERTICES == 2**32 - 1
+    with pytest.raises(ValueError, match="MAX_VERTICES"):
+        TangoStore(Config(), MAX_VERTICES + 1)
+    monkeypatch.setattr(store_mod, "MAX_VERTICES", 16)
+    assert TangoStore(Config(), 16).num_vertices == 16
+    with pytest.raises(ValueError, match="MAX_VERTICES"):
+        TangoStore(Config(), 17)
 
 
 def test_line_touches_of_type3_insert():
