@@ -29,7 +29,6 @@ from .core import (
     compute_th0,
     next_pow2,
     partition_of,
-    th1_rule_of_thumb,
 )
 from .mempool import MemoryPool, PoolError
 from .store import IN, OUT, TYPE1, TYPE2, TYPE3, TangoStore
@@ -65,6 +64,5 @@ __all__ = [
     "run_cc",
     "run_pr",
     "run_sssp",
-    "th1_rule_of_thumb",
     "__version__",
 ]

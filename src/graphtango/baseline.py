@@ -59,6 +59,10 @@ class AdListBase(GraphStore):
 
     # -- single-direction operations ---------------------------------------
 
+    # An edge is ew words, dst then (weighted) its property; every membership
+    # scan reads the dsts as the strided slice arr[:deg * ew:ew], the same
+    # idiom the hybrid store uses.
+
     def insert_half(self, v: int, nbr: int, prop: int = 0, side: int = OUT) -> bool:
         if v < 0 or v >= self.num_vertices or nbr < 0 or nbr >= self.num_vertices:
             raise VertexRangeError(f"edge ({v}, {nbr}) outside [0, {self.num_vertices})")
@@ -67,23 +71,16 @@ class AdListBase(GraphStore):
         arr = st.arrs[v]
         ew = self._ew
         if deg:
-            if ew == 1:
-                if deg <= SCAN_LIMIT:
-                    if nbr in arr[:deg].tolist():
-                        return False
-                elif nbr in arr[:deg]:
-                    return False
+            if deg <= SCAN_LIMIT:
+                dsts = arr[:deg * ew:ew].tolist()
+                j = dsts.index(nbr) if nbr in dsts else -1
             else:
-                if deg <= SCAN_LIMIT:
-                    dsts = arr[:2 * deg:2].tolist()
-                    if nbr in dsts:
-                        arr[2 * dsts.index(nbr) + 1] = prop
-                        return False
-                else:
-                    hit = np.nonzero(arr[:2 * deg:2] == nbr)[0]
-                    if hit.size:
-                        arr[2 * int(hit[0]) + 1] = prop
-                        return False
+                hit = (arr[:deg * ew:ew] == nbr).nonzero()[0]
+                j = int(hit[0]) if hit.size else -1
+            if j >= 0:
+                if ew == 2:
+                    arr[2 * j + 1] = prop
+                return False
         if arr is None:
             arr = np.empty(_INITIAL_CAP * ew, dtype=np.uint64)
             st.arrs[v] = arr
@@ -93,11 +90,10 @@ class AdListBase(GraphStore):
             grown[:deg * ew] = arr
             st.arrs[v] = arr = grown
             st.caps[v] = len(grown)
-        if ew == 1:
-            arr[deg] = nbr
-        else:
-            arr[2 * deg] = nbr
-            arr[2 * deg + 1] = prop
+        at = deg * ew
+        arr[at] = nbr
+        if ew == 2:
+            arr[at + 1] = prop
         st.degs[v] = deg + 1
         return True
 
@@ -116,7 +112,7 @@ class AdListBase(GraphStore):
                 return False
             j = dsts.index(nbr)
         else:
-            hit = np.nonzero(arr[:deg * ew:ew] == nbr)[0]
+            hit = (arr[:deg * ew:ew] == nbr).nonzero()[0]
             if not hit.size:
                 return False
             j = int(hit[0])
@@ -137,27 +133,22 @@ class AdListBase(GraphStore):
     def degree_array(self, side: int = OUT) -> np.ndarray:
         return np.asarray(self._sides[side].degs, dtype=np.uint64)
 
-    def neighbors(self, v: int, side: int = OUT) -> np.ndarray:
+    def _edge_words(self, v: int, side: int, word: int) -> np.ndarray:
+        """Read-only view of one word (0 dst, 1 property) of each live edge."""
         self._check_vertex(v)
         st = self._sides[side]
         deg = st.degs[v]
         if deg == 0:
             return _EMPTY
-        out = st.arrs[v][:deg * self._ew:self._ew]
+        out = st.arrs[v][word:deg * self._ew:self._ew]
         out.flags.writeable = False
         return out
 
+    def neighbors(self, v: int, side: int = OUT) -> np.ndarray:
+        return self._edge_words(v, side, 0)
+
     def neighbor_props(self, v: int, side: int = OUT) -> np.ndarray | None:
-        if not self.weighted:
-            return None
-        self._check_vertex(v)
-        st = self._sides[side]
-        deg = st.degs[v]
-        if deg == 0:
-            return _EMPTY
-        out = st.arrs[v][1:deg * 2:2]
-        out.flags.writeable = False
-        return out
+        return self._edge_words(v, side, 1) if self.weighted else None
 
     def csr(self, side: int = OUT, with_weights: bool = False):
         """One side as CSR arrays (indptr, indices, weights or None), rows in

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..core import Config, ConfigError, ParseError
-from .data import gen_synthetic, load_snap, shuffle
+from .data import check_synthetic, gen_synthetic, load_snap, shuffle
 from .harness import (
     DEFAULT_BATCH_SIZE,
     FORMATS,
@@ -75,14 +76,38 @@ def _build_config(args) -> Config:
     return Config(**overrides)
 
 
+def physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_fits(num_vertices: int, num_edges: int, cfg: Config) -> None:
+    """Refuse a run whose edge arrays and meta lines alone exceed RAM.
+
+    Counts the edge list's int64 src, dst (and weight) arrays twice, since
+    the shuffled copy is made while the list is held, and one meta line per
+    vertex and side: a floor under what the run holds at once.
+    """
+    sides = 2 if cfg.directed else 1
+    need = (2 * num_edges * (24 if cfg.weighted else 16)
+            + num_vertices * sides * cfg.cache_line_bytes)
+    have = physical_memory_bytes()
+    if need > have:
+        raise ValueError(f"{num_vertices} vertices and {num_edges} edges need "
+                         f"{need / 2**30:.1f} GiB of edge arrays and meta lines; "
+                         f"this host has {have / 2**30:.1f} GiB of memory")
+
+
 def _build_dataset(args, cfg: Config):
     if args.synthetic is not None:
         if args.vertices is None or args.edges is None:
             raise ValueError("--synthetic needs --vertices and --edges")
+        check_synthetic(args.synthetic, args.vertices, args.edges)
+        _check_fits(args.vertices, args.edges, cfg)
         el = gen_synthetic(args.synthetic, args.vertices, args.edges, args.seed,
                            weighted=cfg.weighted, directed=cfg.directed)
     else:
         el = load_snap(args.input, weighted=cfg.weighted, directed=cfg.directed)
+        _check_fits(el.num_vertices, el.num_edges, cfg)
     return shuffle(el, args.seed)
 
 
@@ -132,7 +157,7 @@ def main(argv=None) -> int:
         print(f"mean bytes/edge:   {summary.mean_bytes_per_edge:.2f}")
         print(f"total time:        {summary.total_seconds:.3f}s")
         return 0
-    except (ConfigError, ParseError, ValueError, OSError) as exc:
+    except (ConfigError, ParseError, ValueError, OSError, MemoryError) as exc:
         print(f"graphtango-bench: error: {exc}", file=sys.stderr)
         return 2
 

@@ -159,6 +159,19 @@ def shuffle(el: EdgeList, seed: int) -> EdgeList:
     )
 
 
+def check_synthetic(kind: str, num_vertices: int, num_edges: int) -> str:
+    """Validate a synthetic request without allocating; returns the kind's
+    full name."""
+    kind = _KIND_ALIASES.get(kind, kind)
+    if kind not in _SYNTH_KINDS:
+        raise ValueError(f"unknown synthetic kind {kind!r}")
+    if num_vertices < 1 or num_edges < num_vertices:
+        raise ValueError("need num_edges >= num_vertices >= 1")
+    if num_vertices > MAX_VERTICES:
+        raise ValueError(f"num_vertices {num_vertices} exceeds MAX_VERTICES {MAX_VERTICES}")
+    return kind
+
+
 def gen_synthetic(
     kind: str,
     num_vertices: int,
@@ -175,14 +188,7 @@ def gen_synthetic(
     power law with exponent 2.0 mapped onto a seeded permutation of the
     vertex ids, so the hot vertices are not simply the low ids.
     """
-    kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in _SYNTH_KINDS:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
-    if num_vertices < 1 or num_edges < num_vertices:
-        raise ValueError("need num_edges >= num_vertices >= 1")
-    if num_vertices > MAX_VERTICES:
-        raise ValueError(f"num_vertices {num_vertices} exceeds MAX_VERTICES {MAX_VERTICES}")
-
+    kind = check_synthetic(kind, num_vertices, num_edges)
     rng = np.random.default_rng(seed)
     srcs = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     if kind == "short_tailed":

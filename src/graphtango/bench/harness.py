@@ -513,33 +513,33 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(f"# {PR_FORMULA_NOTE}\n")
-        writer = csv.writer(fh, delimiter=delim)
-        writer.writerow(REPORT_COLUMNS)
+        writer = csv.DictWriter(fh, REPORT_COLUMNS, restval="", delimiter=delim)
+        writer.writeheader()
         for r in reports:
-            row = [
-                r.index, r.phase, r.edges, _num(r.seconds), _num(r.edges_per_s),
-                _num(r.live_edges), r.memory_bytes, _num(r.bytes_per_edge),
-                _num(r.snapshot_seconds),
-            ]
-            for algo in KERNELS:
-                t = r.algo_seconds.get(algo)
-                row.append("" if t is None else _num(t))
-            row += [
-                _num(r.analytics_seconds), _num(r.analytics_eps),
-                _fmt_hist(r.probe_insert), _fmt_hist(r.probe_find),
-                "", "", "", "", "",
-            ]
-            row += [r.algo_rounds.get(algo, "") for algo in KERNELS]
-            row += [r.algo_modes.get(algo, "") for algo in KERNELS]
-            row.append(r.hash_bytes)
+            row = {
+                "batch": r.index, "phase": r.phase, "edges": r.edges,
+                "seconds": _num(r.seconds), "edges_per_s": _num(r.edges_per_s),
+                "live_edges": _num(r.live_edges), "memory_bytes": r.memory_bytes,
+                "bytes_per_edge": _num(r.bytes_per_edge),
+                "snapshot_s": _num(r.snapshot_seconds),
+                "analytics_s": _num(r.analytics_seconds),
+                "analytics_eps": _num(r.analytics_eps),
+                "probe_insert_hist": _fmt_hist(r.probe_insert),
+                "probe_find_hist": _fmt_hist(r.probe_find),
+                "hash_bytes": r.hash_bytes,
+            }
+            row.update({f"{a}_s": _num(t) for a, t in r.algo_seconds.items()})
+            row.update({f"{a}_rounds": n for a, n in r.algo_rounds.items()})
+            row.update({f"{a}_mode": m for a, m in r.algo_modes.items()})
             writer.writerow(row)
-        srow = ["summary", "summary", 2 * summary.num_edges] + [""] * 14
-        srow += [
-            _num(summary.insert_geomean_eps), _num(summary.delete_geomean_eps),
-            _num(summary.analytics_geomean_eps), _num(summary.mean_bytes_per_edge),
-            _num(summary.total_seconds),
-        ]
-        writer.writerow(srow + [""] * (2 * len(KERNELS) + 1))
+        writer.writerow({
+            "batch": "summary", "phase": "summary", "edges": 2 * summary.num_edges,
+            "insert_geomean_eps": _num(summary.insert_geomean_eps),
+            "delete_geomean_eps": _num(summary.delete_geomean_eps),
+            "analytics_geomean_eps": _num(summary.analytics_geomean_eps),
+            "mean_bytes_per_edge": _num(summary.mean_bytes_per_edge),
+            "total_seconds": _num(summary.total_seconds),
+        })
 
 
 def emit_sweep_report(rows, path, *, report_format: str = "csv",

@@ -85,18 +85,6 @@ def compute_th0(cache_line_bytes: int, edge_bytes: int, deg_bytes: int = DEG_BYT
     return (cache_line_bytes - deg_bytes) // edge_bytes
 
 
-def th1_rule_of_thumb(edges_per_cache_line: int) -> int:
-    """Default high-degree threshold: 2**ceil(log2(3 * edges_per_cache_line)).
-
-    Three cache lines of edges is the break-even point where walking the
-    array stops being cheaper than one extra line of hash probing, rounded
-    up to a power of two so capacity doubling lands exactly on it.
-    """
-    if edges_per_cache_line < 1:
-        raise ConfigError("edges_per_cache_line must be >= 1")
-    return next_pow2(3 * edges_per_cache_line)
-
-
 def partition_of(vertex_id: int, num_threads: int, partition_size: int = DEFAULT_PARTITION_SIZE) -> int:
     """Owning worker index for a vertex: (v // partition_size) % num_threads.
 
@@ -214,10 +202,6 @@ class Config:
     @property
     def edge_bytes(self) -> int:
         return 16 if self.weighted else 8
-
-    @property
-    def edges_per_cache_line(self) -> int:
-        return self.cache_line_bytes // self.edge_bytes
 
     @classmethod
     def from_file(cls, path, **overrides) -> "Config":

@@ -109,11 +109,12 @@ class TangoStore(GraphStore):
 
     # -- helpers -------------------------------------------------------------
 
-    def _pool_of(self, v: int) -> MemoryPool:
-        return self.pools[partition_of(v, self.num_threads, self._psize)]
+    def _part(self, v):
+        """Pool partition of vertex v (or of each id in an array of them)."""
+        return partition_of(v, self.num_threads, self._psize)
 
     def _new_array(self, v: int, cap: int) -> tuple[int, np.ndarray]:
-        pool = self.pools[(v // self._psize) % self.num_threads]
+        pool = self.pools[self._part(v)]
         chunk = pool.allocate(cap * self._ew * 8)
         return chunk, pool.u64_view(chunk, cap * self._ew)
 
@@ -122,12 +123,9 @@ class TangoStore(GraphStore):
         """Move the edge array to a new_cap chunk, copying deg live edges."""
         mv = side.mv
         ew = self._ew
-        pool = self.pools[(v // self._psize) % self.num_threads]
-        new_chunk = pool.allocate(new_cap * ew * 8)
-        new_view = pool.u64_view(new_chunk, new_cap * ew)
-        nw = deg * ew
-        new_view[:nw] = side.views[v][:nw]
-        pool.deallocate(mv[base + _EDGES], cap * ew * 8)
+        new_chunk, new_view = self._new_array(v, new_cap)
+        new_view[:deg * ew] = side.views[v][:deg * ew]
+        self.pools[self._part(v)].deallocate(mv[base + _EDGES], cap * ew * 8)
         mv[base + _CAP] = new_cap
         mv[base + _EDGES] = new_chunk
         side.views[v] = new_view
@@ -138,7 +136,7 @@ class TangoStore(GraphStore):
         """Attach a dst -> index hash at 2 x cap slots covering deg edges."""
         mf = side.meta
         cap = mf.item(base + _CAP)
-        part = partition_of(v, self.num_threads, self._psize)
+        part = self._part(v)
         tbl = CfhTable(2 * cap, pool=self.pools[part],
                        slots_per_line=self.config.cache_line_bytes // 8, stats=self._probe[part])
         tbl.tracker = self.tracker
@@ -153,7 +151,7 @@ class TangoStore(GraphStore):
 
     def _resize_table(self, mv, v: int, base: int, tbl: CfhTable, slots: int) -> None:
         """Rebuild v's table at slots and point the meta record at it."""
-        part = (v // self._psize) % self.num_threads
+        part = self._part(v)
         self._hash_bytes[part] -= tbl.chunk_bytes
         tbl.rebuild(slots)
         self._hash_bytes[part] += tbl.chunk_bytes
@@ -161,6 +159,10 @@ class TangoStore(GraphStore):
         mv[base + _HASHCAP] = tbl.capacity_slots
 
     # -- single-direction operations ------------------------------------------
+    #
+    # An edge is ew words, dst then (weighted) its property, so the dsts of
+    # deg edges are the strided slice words[:deg * ew:ew]. Every membership
+    # scan reads that slice: as a list up to SCAN_LIMIT, as numpy beyond.
 
     def insert_half(self, v: int, nbr: int, prop: int = 0, side: int = OUT) -> bool:
         """Insert nbr into v's table for one direction.
@@ -182,103 +184,72 @@ class TangoStore(GraphStore):
             tr.add(("meta", side, v))
         if deg <= th0:
             # Type1: edges inline in the meta record
-            if ew == 1:
-                if deg and nbr in mv[base + 1:base + 1 + deg]:
-                    return False
-                if deg < th0:
-                    mv[base + 1 + deg] = nbr
-                    mv[base] = deg + 1
-                    return True
-            else:
-                if deg:
-                    inline = mv[base + 1:base + 1 + 2 * deg:2].tolist()
-                    if nbr in inline:
-                        mv[base + 2 + 2 * inline.index(nbr)] = prop
-                        return False
-                if deg < th0:
-                    mv[base + 1 + 2 * deg] = nbr
-                    mv[base + 2 + 2 * deg] = prop
-                    mv[base] = deg + 1
-                    return True
+            off = base + 1
+            dsts = mv[off:off + deg * ew:ew].tolist()
+            if nbr in dsts:
+                if ew == 2:
+                    mv[off + 2 * dsts.index(nbr) + 1] = prop
+                return False
+            if deg < th0:
+                mv[off + deg * ew] = nbr
+                if ew == 2:
+                    mv[off + deg * ew + 1] = prop
+                mv[base] = deg + 1
+                return True
             # Type1 -> Type2: move the inline edges out, then append.
-            mf = st.meta
-            cap = self._min_cap
-            chunk, view = self._new_array(v, cap)
-            view[:th0 * ew] = mf[base + 1:base + 1 + th0 * ew]
-            mv[base + _CAP] = cap
+            chunk, view = self._new_array(v, self._min_cap)
+            view[:th0 * ew] = st.meta[off:off + th0 * ew]
+            mv[base + _CAP] = self._min_cap
             mv[base + _EDGES] = chunk
             mv[base + _HASH] = 0
             mv[base + _HASHCAP] = 0
             st.views[v] = view
             self.resize_copies += th0
-            if ew == 1:
-                view[th0] = nbr
-            else:
-                view[2 * th0] = nbr
-                view[2 * th0 + 1] = prop
-            mv[base] = th0 + 1
-            if tr is not None:
-                tr.add(("earr", side, v, (th0 * ew * 8) >> 6))
-            return True
-        view = st.views[v]
-        if deg <= self.th1:
+        elif deg <= self.th1:
             # Type2: linear scan of the pool-resident array
+            view = st.views[v]
             if tr is not None:
                 self._track_scan(tr, side, v, deg)
-            if ew == 1:
-                if deg <= SCAN_LIMIT:
-                    if nbr in view[:deg].tolist():
-                        return False
-                elif nbr in view[:deg]:
-                    return False
+            if deg <= SCAN_LIMIT:
+                dsts = view[:deg * ew:ew].tolist()
+                j = dsts.index(nbr) if nbr in dsts else -1
             else:
-                if deg <= SCAN_LIMIT:
-                    dsts = view[:2 * deg:2].tolist()
-                    if nbr in dsts:
-                        view[2 * dsts.index(nbr) + 1] = prop
-                        return False
-                else:
-                    hit = np.nonzero(view[:2 * deg:2] == nbr)[0]
-                    if hit.size:
-                        view[2 * int(hit[0]) + 1] = prop
-                        return False
+                hit = (view[:deg * ew:ew] == nbr).nonzero()[0]
+                j = int(hit[0]) if hit.size else -1
+            if j >= 0:
+                if ew == 2:
+                    view[2 * j + 1] = prop
+                return False
             if deg == mv[base + _CAP]:
                 view = self._resize_array(st, v, base, deg, deg, deg * 2)
-            if ew == 1:
-                view[deg] = nbr
+        else:
+            # Type3: hash lookup. The walk ends where nbr goes, unless the
+            # array is full and the table is rebuilt first.
+            view = st.views[v]
+            tbl = st.tables[v]
+            slot, j, dist = tbl.locate(nbr)
+            if j is not None:
+                if ew == 2:
+                    view[2 * j + 1] = prop
+                return False
+            cap = mv[base + _CAP]
+            if deg == cap:
+                view = self._resize_array(st, v, base, deg, cap, cap * 2)
+                self._resize_table(mv, v, base, tbl, 4 * cap)
+                tbl.insert(nbr, deg)
             else:
-                view[2 * deg] = nbr
-                view[2 * deg + 1] = prop
-            mv[base] = deg + 1
-            if tr is not None:
-                tr.add(("earr", side, v, (deg * ew * 8) >> 6))
-            if deg + 1 > self.th1:
-                # Crossed TH1: attach the hash table (array already sized).
-                self._build_table(st, v, base, deg + 1)
-            return True
-        # Type3: hash lookup, array append. The lookup's walk ends where nbr
-        # goes, unless the array is full and the table is rebuilt first.
-        tbl = st.tables[v]
-        slot, idx, dist = tbl.locate(nbr)
-        if idx is not None:
-            if ew == 2:
-                view[2 * idx + 1] = prop
-            return False
-        cap = mv[base + _CAP]
-        if deg == cap:
-            view = self._resize_array(st, v, base, deg, cap, cap * 2)
-            self._resize_table(mv, v, base, tbl, 4 * cap)
-            tbl.insert(nbr, deg)
-        else:
-            tbl.put_at(slot, nbr, deg, dist)
-        if ew == 1:
-            view[deg] = nbr
-        else:
-            view[2 * deg] = nbr
-            view[2 * deg + 1] = prop
+                tbl.put_at(slot, nbr, deg, dist)
+        # Append at index deg of the pool-resident array.
+        at = deg * ew
+        view[at] = nbr
+        if ew == 2:
+            view[at + 1] = prop
         mv[base] = deg + 1
         if tr is not None:
-            tr.add(("earr", side, v, (deg * ew * 8) >> 6))
+            tr.add(("earr", side, v, (at * 8) >> 6))
+        if deg == self.th1:
+            # Crossed TH1: attach the hash table (array already sized).
+            self._build_table(st, v, base, deg + 1)
         return True
 
     def _track_scan(self, tr: set, side: int, v: int, deg: int) -> None:
@@ -306,16 +277,16 @@ class TangoStore(GraphStore):
         if tr is not None:
             tr.clear()
             tr.add(("meta", side, v))
+        last = deg - 1
         if deg <= th0:
             # Type1: compact within the meta record
             off = base + 1
-            inline = mv[off:off + deg * ew:ew].tolist()
-            if nbr not in inline:
+            dsts = mv[off:off + deg * ew:ew].tolist()
+            if nbr not in dsts:
                 return False
-            j = inline.index(nbr)
-            last = deg - 1
+            j = dsts.index(nbr)
             if j != last:
-                mv[off + j * ew] = inline[last]
+                mv[off + j * ew] = dsts[last]
                 if ew == 2:
                     mv[off + j * ew + 1] = mv[off + last * ew + 1]
             mv[base] = last
@@ -323,6 +294,7 @@ class TangoStore(GraphStore):
         view = st.views[v]
         if deg <= self.th1:
             # Type2
+            tbl = None
             if tr is not None:
                 self._track_scan(tr, side, v, deg)
             if deg <= SCAN_LIMIT:
@@ -331,60 +303,52 @@ class TangoStore(GraphStore):
                     return False
                 j = dsts.index(nbr)
             else:
-                hit = np.nonzero(view[:deg * ew:ew] == nbr)[0]
+                hit = (view[:deg * ew:ew] == nbr).nonzero()[0]
                 if not hit.size:
                     return False
                 j = int(hit[0])
-            last = deg - 1
-            if j != last:
-                view[j * ew] = view.item(last * ew)
-                if ew == 2:
-                    view[j * ew + 1] = view.item(last * ew + 1)
-            mv[base] = last
-            if last == th0:
-                # Type2 -> Type1: edges come back inline, chunk is freed.
-                # Grab the handle first: the copy overwrites meta words 1..7.
-                cap = mv[base + _CAP]
-                chunk = mv[base + _EDGES]
-                st.meta[base + 1:base + 1 + th0 * ew] = view[:th0 * ew]
-                self._pool_of(v).deallocate(chunk, cap * ew * 8)
-                st.views[v] = None
-                self.resize_copies += th0
-            else:
-                cap = mv[base + _CAP]
-                if last == cap >> 2:
-                    self._resize_array(st, v, base, last, cap, cap >> 1)
-            return True
-        # Type3: the moved edge's insert only overwrites a value, so nbr's
-        # slot from the lookup is still the one to tombstone.
-        tbl = st.tables[v]
-        slot, f, dist = tbl.locate(nbr)
-        if f is None:
-            return False
-        last = deg - 1
-        if f != last:
+        else:
+            # Type3: the moved edge's insert only overwrites a value, so nbr's
+            # slot from the lookup is still the one to tombstone.
+            tbl = st.tables[v]
+            slot, j, dist = tbl.locate(nbr)
+            if j is None:
+                return False
+        # Move the last edge into the hole.
+        if j != last:
             moved = view.item(last * ew)
-            view[f * ew] = moved
+            view[j * ew] = moved
             if ew == 2:
-                view[f * ew + 1] = view.item(last * ew + 1)
-            tbl.insert(moved, f)
-            if tr is not None:
-                tr.add(("earr", side, v, (f * ew * 8) >> 6))
-                tr.add(("earr", side, v, (last * ew * 8) >> 6))
-        tbl.remove_at(slot, dist)
+                view[j * ew + 1] = view.item(last * ew + 1)
+            if tbl is not None:
+                tbl.insert(moved, j)
+                if tr is not None:
+                    tr.add(("earr", side, v, (j * ew * 8) >> 6))
+                    tr.add(("earr", side, v, (last * ew * 8) >> 6))
+        if tbl is not None:
+            tbl.remove_at(slot, dist)
         mv[base] = last
         cap = mv[base + _CAP]
         if last == self.th1:
             # Type3 -> Type2: halve the array, drop the hash table.
             self._resize_array(st, v, base, last, cap, cap >> 1)
-            self._hash_bytes[(v // self._psize) % self.num_threads] -= tbl.chunk_bytes
+            self._hash_bytes[self._part(v)] -= tbl.chunk_bytes
             tbl.release()
             st.tables[v] = None
             mv[base + _HASH] = 0
             mv[base + _HASHCAP] = 0
+        elif last == th0:
+            # Type2 -> Type1: edges come back inline, chunk is freed.
+            # Grab the handle first: the copy overwrites meta words 1..7.
+            chunk = mv[base + _EDGES]
+            st.meta[base + 1:base + 1 + th0 * ew] = view[:th0 * ew]
+            self.pools[self._part(v)].deallocate(chunk, cap * ew * 8)
+            st.views[v] = None
+            self.resize_copies += th0
         elif last == cap >> 2:
             self._resize_array(st, v, base, last, cap, cap >> 1)
-            self._resize_table(mv, v, base, tbl, cap)  # 2 x the halved capacity
+            if tbl is not None:
+                self._resize_table(mv, v, base, tbl, cap)  # 2 x the halved capacity
         return True
 
     # -- cursors and introspection ----------------------------------------------
@@ -403,41 +367,31 @@ class TangoStore(GraphStore):
             return TYPE1
         return TYPE2 if deg <= self.th1 else TYPE3
 
+    def _edge_words(self, v: int, side: int, word: int) -> np.ndarray:
+        """Read-only view of one word (0 dst, 1 property) of each live edge."""
+        self._check_vertex(v)
+        st = self._sides[side]
+        base = v * self._line_words
+        deg = st.meta.item(base)
+        ew = self._ew
+        if deg <= self.th0:
+            out = st.meta[base + 1 + word:base + 1 + deg * ew:ew]
+        else:
+            out = st.views[v][word:deg * ew:ew]
+        out.flags.writeable = False
+        return out
+
     def neighbors(self, v: int, side: int = OUT) -> np.ndarray:
         """Read-only view of v's live neighbor ids, in storage (index) order.
 
         Never touches the hash table, so traversal is safe to run while no
         update batch is in flight.
         """
-        self._check_vertex(v)
-        st = self._sides[side]
-        mf = st.meta
-        base = v * self._line_words
-        deg = mf.item(base)
-        ew = self._ew
-        if deg <= self.th0:
-            out = mf[base + 1:base + 1 + deg * ew:ew]
-        else:
-            out = st.views[v][:deg * ew:ew]
-        out = out[:]
-        out.flags.writeable = False
-        return out
+        return self._edge_words(v, side, 0)
 
     def neighbor_props(self, v: int, side: int = OUT) -> np.ndarray | None:
         """Read-only view of edge properties aligned with neighbors(v)."""
-        if not self.weighted:
-            return None
-        self._check_vertex(v)
-        st = self._sides[side]
-        base = v * self._line_words
-        deg = st.meta.item(base)
-        if deg <= self.th0:
-            out = st.meta[base + 2:base + 2 + deg * 2:2]
-        else:
-            out = st.views[v][1:deg * 2:2]
-        out = out[:]
-        out.flags.writeable = False
-        return out
+        return self._edge_words(v, side, 1) if self.weighted else None
 
     def csr(self, side: int = OUT, with_weights: bool = False):
         """One side as CSR arrays: (indptr, indices, weights or None).
@@ -460,7 +414,7 @@ class TangoStore(GraphStore):
         inline = deg <= self.th0
         start = np.where(inline, np.arange(8, 8 * V * L, 8 * L),
                          lines[:, _EDGES].astype(np.int64))
-        buf = np.where(inline, 0, np.arange(V) // self._psize % self.num_threads + 1)
+        buf = np.where(inline, 0, self._part(np.arange(V)) + 1)
         # Visit rows by buffer, then by address, so each buffer reads one
         # run of ascending addresses; pos puts every edge back in row order.
         rows = np.lexsort((start, buf))

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from graphtango import Config, ParseError, TangoStore
 from graphtango.analytics import KERNELS
-from graphtango.bench import data, harness
+from graphtango.bench import cli, data, harness
 from graphtango.bench.cli import main
 from graphtango.bench.data import EdgeList, gen_synthetic, load_snap, shuffle
 from graphtango.bench.harness import (
@@ -533,14 +533,15 @@ def test_report_carries_kernel_rounds_and_modes(tmp_path, monkeypatch):
     assert tuple(header) == REPORT_COLUMNS
     # Columns that predate the rounds/mode columns keep their positions.
     assert header.index("total_seconds") == 21
-    assert header[22:30] == [f"{k}_rounds" for k in KERNELS] + [f"{k}_mode" for k in KERNELS]
+    kernel_cols = [f"{k}_rounds" for k in KERNELS] + [f"{k}_mode" for k in KERNELS]
+    assert set(kernel_cols) <= set(header)
     assert len(results) == 4 * len(reports)
     for i, row in enumerate(rows[:-1]):
         for res in results[4 * i:4 * i + 4]:
             assert row[f"{res.name}_rounds"] == res.rounds
             assert row[f"{res.name}_mode"] == res.mode
     assert {r.mode for r in results} == {"full", "incremental"}
-    assert all(rows[-1][c] is None for c in header[22:])
+    assert all(rows[-1][c] is None for c in kernel_cols + ["hash_bytes"])
 
 
 def test_hash_bytes_is_the_tables_share_of_memory(tmp_path):
@@ -727,6 +728,64 @@ def test_cli_vertices_above_max_exit_2_before_generation(monkeypatch, capsys):
                "--edges", "4294967296"])
     assert rc == 2
     assert "MAX_VERTICES" in capsys.readouterr().err
+
+
+def refuse_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dataset or store was built before the memory check")
+
+    monkeypatch.setattr(data.np.random, "default_rng", refuse)
+    monkeypatch.setattr(harness, "make_store", refuse)
+
+
+def test_cli_oversized_synthetic_exits_2_before_allocation(monkeypatch, capsys):
+    refuse_allocation(monkeypatch)
+    monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 8 * 2**30)
+    rc = main(["--synthetic", "short", "--vertices", "10", "--edges", "1000000000000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("graphtango-bench: error:") and err.count("\n") == 1
+    assert "29802.3 GiB" in err and "8.0 GiB" in err
+    # MAX_VERTICES meta lines alone are 256 GiB.
+    rc = main(["--synthetic", "short", "--vertices", str(MAX_VERTICES),
+               "--edges", str(MAX_VERTICES)])
+    assert rc == 2
+    assert "edge arrays and meta lines" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,need", [
+    ([], 2 * 3000 * 16 + 1000 * 64),
+    (["--weighted", "--directed"], 2 * 3000 * 24 + 2 * 1000 * 64),
+])
+def test_cli_refuses_what_exceeds_physical_memory(monkeypatch, capsys, extra, need):
+    argv = ["--synthetic", "short", "--vertices", "1000", "--edges", "3000",
+            "--algorithms", ""] + extra
+    with monkeypatch.context() as m:
+        refuse_allocation(m)
+        m.setattr(cli, "physical_memory_bytes", lambda: need - 1)
+        assert main(argv) == 2
+    assert "edge arrays and meta lines" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "physical_memory_bytes", lambda: need)
+    assert main(argv) == 0
+
+
+def test_cli_refuses_oversized_input_before_the_store(tmp_path, monkeypatch, capsys):
+    snap = write(tmp_path, "0 1\n1 2\n")
+    refuse_allocation(monkeypatch)
+    monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 64)
+    assert main(["--input", str(snap)]) == 2
+    assert "3 vertices and 2 edges" in capsys.readouterr().err
+
+
+def test_cli_memory_error_exits_2(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "gen_synthetic", no_memory)
+    rc = main(["--synthetic", "short", "--vertices", "10", "--edges", "100"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "graphtango-bench: error: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_cli_threads_above_cap_exits_2(monkeypatch, capsys):

@@ -7,7 +7,6 @@ from graphtango.core import (
     compute_th0,
     next_pow2,
     partition_of,
-    th1_rule_of_thumb,
 )
 
 
@@ -34,16 +33,6 @@ def test_th0_values():
         compute_th0(16, 16)  # degree word leaves no room for an edge
 
 
-def test_th1_rule_of_thumb():
-    # 2**ceil(log2(3 * edges_per_line))
-    assert th1_rule_of_thumb(8) == 32
-    assert th1_rule_of_thumb(4) == 16
-    assert th1_rule_of_thumb(2) == 8
-    assert th1_rule_of_thumb(1) == 4
-    with pytest.raises(ConfigError):
-        th1_rule_of_thumb(0)
-
-
 def test_partition_of():
     assert partition_of(0, 4) == 0
     assert partition_of(511, 4) == 0
@@ -60,11 +49,9 @@ def test_config_defaults():
     assert cfg.th0 == 7
     assert cfg.th1 == 32
     assert cfg.edge_bytes == 8
-    assert cfg.edges_per_cache_line == 8
     w = Config(weighted=True)
     assert w.th0 == 3
     assert w.edge_bytes == 16
-    assert w.edges_per_cache_line == 4
 
 
 def test_config_validation():
