@@ -26,7 +26,9 @@ from graphtango.store import TangoStore
 
 GOLDEN = Path(__file__).parent / "data" / "store_image_golden.json"
 
-# name -> (format, synthetic kind, V, E, batch, threads, Config kwargs)
+# name -> (format, synthetic kind, V, E, batch, threads, Config kwargs).
+# Heavy hubs re-weight edges on Type3 (th1 8) and, with th1 256, scan Type2
+# arrays past SCAN_LIMIT, the numpy side of the scan; so do the adlists.
 STREAMS = {
     "tango-heavy-th1_8-2t": ("tango", "heavy", 400, 6000, 600, 2, dict(th1=8)),
     "tango-short-weighted-directed-th1_16": (
