@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from ..core import Config, ConfigError, ParseError
+from ..core import CACHE_LINE_BYTES, DEFAULT_TH1, Config, ConfigError, ParseError
 from .data import check_synthetic, gen_synthetic, load_snap, shuffle
 from .harness import (
     DEFAULT_BATCH_SIZE,
@@ -46,14 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"update worker threads, 1 to {MAX_THREADS} (default 1)")
     p.add_argument("--seed", type=int, default=42, metavar="N",
                    help="seed for generation and shuffling (default 42)")
-    p.add_argument("--th1", type=int, default=None, metavar="N",
-                   help="hash threshold for the hybrid store (power of two)")
-    p.add_argument("--weighted", action="store_const", const=True, default=None,
+    p.add_argument("--th1", type=int, default=DEFAULT_TH1, metavar="N",
+                   help="hash threshold for the hybrid store, a power of two "
+                        f"(default {DEFAULT_TH1})")
+    p.add_argument("--weighted", action="store_true",
                    help="edges carry integer weights")
-    p.add_argument("--directed", action="store_const", const=True, default=None,
+    p.add_argument("--directed", action="store_true",
                    help="treat edges as directed")
-    p.add_argument("--config", metavar="PATH", default=None,
-                   help="key=value config file; command-line flags win")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write the per-batch report here")
     p.add_argument("--report-format", choices=("csv", "tsv"), default="csv")
@@ -61,19 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the hybrid store across th1 in {8,16,...,512} "
                         "and report one row per value")
     return p
-
-
-def _build_config(args) -> Config:
-    overrides = {}
-    if args.th1 is not None:
-        overrides["th1"] = args.th1
-    if args.weighted is not None:
-        overrides["weighted"] = args.weighted
-    if args.directed is not None:
-        overrides["directed"] = args.directed
-    if args.config is not None:
-        return Config.from_file(args.config, **overrides)
-    return Config(**overrides)
 
 
 def physical_memory_bytes() -> int:
@@ -89,7 +75,7 @@ def _check_fits(num_vertices: int, num_edges: int, cfg: Config) -> None:
     """
     sides = 2 if cfg.directed else 1
     need = (2 * num_edges * (24 if cfg.weighted else 16)
-            + num_vertices * sides * cfg.cache_line_bytes)
+            + num_vertices * sides * CACHE_LINE_BYTES)
     have = physical_memory_bytes()
     if need > have:
         raise ValueError(f"{num_vertices} vertices and {num_edges} edges need "
@@ -118,7 +104,7 @@ def _parse_algorithms(arg: str) -> tuple:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
+        cfg = Config(weighted=args.weighted, directed=args.directed, th1=args.th1)
         el = _build_dataset(args, cfg)
         algorithms = _parse_algorithms(args.algorithms)
         meta = {"dataset": el.source_name, "seed": args.seed}

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..analytics import KERNELS, build_snapshot, run_bfs, run_cc, run_pr, run_sssp
 from ..baseline import AdListChunked, AdListShared
-from ..core import Config
+from ..core import Config, partition_of
 from ..store import TangoStore
 from .data import EdgeList
 
@@ -48,10 +48,9 @@ MAX_THREADS = 64
 MAX_EXACT_WEIGHT = 2**53
 
 
-def make_store(fmt: str, config: Config, num_vertices: int,
-               num_threads: int = 1, debug: bool = False):
+def make_store(fmt: str, config: Config, num_vertices: int, num_threads: int = 1):
     if fmt == "tango":
-        return TangoStore(config, num_vertices, num_threads, debug=debug)
+        return TangoStore(config, num_vertices, num_threads)
     if fmt == "adlist-shared":
         return AdListShared(config, num_vertices, num_threads)
     if fmt == "adlist-chunked":
@@ -72,13 +71,14 @@ def geomean(values) -> float:
 # -- update routing ----------------------------------------------------------
 
 
-def route_batch(srcs, dsts, props, *, directed: bool, num_threads: int,
-                partition_size: int):
+def route_batch(srcs, dsts, props, *, directed: bool, num_threads: int):
     """Split one batch of logical edges into per-worker half-op arrays.
 
-    Each logical edge contributes a direct half at owner(src) and a mirror
-    half at owner(dst): the reverse edge for undirected graphs (skipped for
-    self loops), the in-side entry for directed ones.  Halves are interleaved
+    A vertex's owner is partition_of(v, num_threads), the map the hybrid
+    store picks its pools by.  Each logical edge contributes a direct half
+    at owner(src) and a mirror half at owner(dst): the reverse edge for
+    undirected graphs (skipped for self loops), the in-side entry for
+    directed ones.  Halves are interleaved
     per edge before a stable sort by owner, so each worker's slice preserves
     global batch order; that pins every per-vertex mutation sequence even
     when both orientations of an edge occur in the same batch.
@@ -106,7 +106,7 @@ def route_batch(srcs, dsts, props, *, directed: bool, num_threads: int,
         v, nbr, side = v[keep], nbr[keep], side[keep]
         if p is not None:
             p = p[keep]
-    owner = (v // partition_size) % num_threads
+    owner = partition_of(v, num_threads)
     order = np.argsort(owner, kind="stable")
     v, nbr, side, owner = v[order], nbr[order], side[order], owner[order]
     if p is not None:
@@ -297,7 +297,7 @@ def _hist_delta(new: dict, old: dict) -> dict:
 def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = None,
                    algorithms=("bfs", "pr"), batch_size: int = DEFAULT_BATCH_SIZE,
                    num_threads: int = 1, source: int = DEFAULT_SOURCE,
-                   collect_values: bool = False, debug: bool = False):
+                   collect_values: bool = False):
     """Run the insert-all / delete-all batched experiment on one store format.
 
     Analytics run after every batch: incrementally on insert batches once a
@@ -315,9 +315,11 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
         raise ValueError("config.weighted does not match the edge list")
     if config.directed != el.directed:
         raise ValueError("config.directed does not match the edge list")
-    for name in algorithms:
+    for i, name in enumerate(algorithms):
         if name not in KERNELS:
             raise ValueError(f"unknown algorithm {name!r}; expected one of {KERNELS}")
+        if name in algorithms[:i]:
+            raise ValueError(f"algorithm {name!r} given twice")
     if "sssp" in algorithms and not el.weighted:
         raise ValueError("sssp requires a weighted edge list")
     if "sssp" in algorithms and el.num_edges and el.weights.max() > MAX_EXACT_WEIGHT:
@@ -330,7 +332,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
     if num_threads > MAX_THREADS:
         raise ValueError(f"num_threads {num_threads} exceeds MAX_THREADS {MAX_THREADS}")
 
-    store = make_store(fmt, config, el.num_vertices, num_threads, debug=debug)
+    store = make_store(fmt, config, el.num_vertices, num_threads)
     workers = WorkerSet(store, num_threads)
     is_tango = isinstance(store, TangoStore)
     need_in = config.directed and "cc" in algorithms
@@ -349,8 +351,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
 
                 t0 = perf_counter()
                 routed = route_batch(srcs, dsts, wts, directed=config.directed,
-                                     num_threads=num_threads,
-                                     partition_size=config.partition_size)
+                                     num_threads=num_threads)
                 overwrites = workers.apply(inserting, routed)
                 seconds = perf_counter() - t0
 

@@ -1,14 +1,17 @@
 """Shared configuration and sizing math for the hybrid graph store.
 
-Everything here is plain integer arithmetic: degree thresholds derived from
-cache line geometry, the vertex -> worker partition map, and the Config
-object the store, baselines, and benchmark harness all consume. GraphStore
-holds the logical-edge operations the store and the baselines share.
+Everything here is plain integer arithmetic: the fixed store geometry
+(64-byte metadata lines, 512-vertex partitions, 4 MiB pool blocks), degree
+thresholds derived from the line size, the vertex -> worker partition map,
+and the Config object the store, baselines, and benchmark harness all
+consume. GraphStore holds the logical-edge operations the store and the
+baselines share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 # Fibonacci multiplicative hash constant, floor(2^64 / golden ratio):
 # the line-confined hash multiplies every key by it, modulo 2^64.
@@ -23,10 +26,16 @@ MAX_VERTICES = 2**32 - 1
 OUT = 0
 IN = 1
 
-DEFAULT_CACHE_LINE_BYTES = 64
+# Fixed store geometry. A metadata record is one 64-byte line of 8 words:
+# the Type2/3 record needs five (degree, capacity, edge array, hash, hash
+# capacity). A worker owns runs of 512 consecutive ids (32 KiB of lines),
+# and each worker's pool carves 4 MiB blocks.
+CACHE_LINE_BYTES = 64
+LINE_WORDS = CACHE_LINE_BYTES // 8
+PARTITION_SIZE = 512
+BLOCK_BYTES = 4 * 1024 * 1024
+
 DEFAULT_TH1 = 32
-DEFAULT_PARTITION_SIZE = 512
-DEFAULT_BLOCK_BYTES = 4 * 1024 * 1024
 
 # Per-vertex degree counter width. Edges are 8 bytes (dst) or 16 bytes
 # (dst + 64-bit property).
@@ -85,13 +94,15 @@ def compute_th0(cache_line_bytes: int, edge_bytes: int, deg_bytes: int = DEG_BYT
     return (cache_line_bytes - deg_bytes) // edge_bytes
 
 
-def partition_of(vertex_id: int, num_threads: int, partition_size: int = DEFAULT_PARTITION_SIZE) -> int:
-    """Owning worker index for a vertex: (v // partition_size) % num_threads.
+def partition_of(vertex_id, num_threads: int):
+    """Owning worker index for a vertex id, or for each id in an array of
+    them: (v // PARTITION_SIZE) % num_threads.
 
-    Contiguous runs of partition_size ids share one owner so neighboring
-    vertices' metadata lines are written by one thread only.
+    Contiguous runs of PARTITION_SIZE ids share one owner so neighboring
+    vertices' metadata lines are written by one thread only. The harness
+    routes updates and the store picks pools by this one map.
     """
-    return (vertex_id // partition_size) % num_threads
+    return (vertex_id // PARTITION_SIZE) % num_threads
 
 
 class GraphStore:
@@ -154,85 +165,29 @@ class GraphStore:
         return total / 2 if not self.directed else float(total)
 
 
-_CONFIG_FILE_KEYS = {
-    "cache_line_bytes": int,
-    "weighted": None,  # bool, parsed specially
-    "directed": None,
-    "th1": int,
-    "partition_size": int,
-    "block_bytes": int,
-}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
 @dataclass
 class Config:
-    """Store-wide knobs shared by every format and the harness.
+    """What a run varies: weights, direction and the hash threshold th1.
 
-    th1 must be a power of two strictly above th0 so that capacity doubling
-    crosses it exactly at deg == cap. partition_size must be a positive
-    multiple of the degree-counter slots per cache line (cache_line/8) so a
-    partition boundary is also a cache line boundary.
+    th0, the edges that fit inline next to the degree word of a 64-byte
+    line, follows from weighted. th1 must be a power of two strictly above
+    th0 so that capacity doubling crosses it exactly at deg == cap. The line
+    size is fixed; cache_line_bytes reads it for callers that size lines.
     """
 
-    cache_line_bytes: int = DEFAULT_CACHE_LINE_BYTES
+    cache_line_bytes: ClassVar[int] = CACHE_LINE_BYTES
     weighted: bool = False
     directed: bool = False
     th1: int = DEFAULT_TH1
-    partition_size: int = DEFAULT_PARTITION_SIZE
-    block_bytes: int = DEFAULT_BLOCK_BYTES
     th0: int = field(init=False)
 
     def __post_init__(self):
-        if self.cache_line_bytes < 16 or self.cache_line_bytes & (self.cache_line_bytes - 1):
-            raise ConfigError("cache_line_bytes must be a power of two >= 16")
-        self.th0 = compute_th0(self.cache_line_bytes, self.edge_bytes)
+        self.th0 = compute_th0(CACHE_LINE_BYTES, self.edge_bytes)
         if self.th1 < 1 or self.th1 & (self.th1 - 1):
             raise ConfigError("th1 must be a power of two")
         if self.th1 <= self.th0:
             raise ConfigError(f"th1 ({self.th1}) must exceed th0 ({self.th0})")
-        deg_slots = self.cache_line_bytes // DEG_BYTES
-        if self.partition_size <= 0 or self.partition_size % deg_slots:
-            raise ConfigError(f"partition_size must be a positive multiple of {deg_slots}")
-        if self.block_bytes < 4096 or self.block_bytes & (self.block_bytes - 1):
-            raise ConfigError("block_bytes must be a power of two >= 4096")
 
     @property
     def edge_bytes(self) -> int:
         return 16 if self.weighted else 8
-
-    @classmethod
-    def from_file(cls, path, **overrides) -> "Config":
-        """Build a Config from a key=value text file ('#' starts a comment).
-
-        Keyword overrides (typically CLI flags) win over file values.
-        """
-        values = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"expected key=value, got {line!r}", lineno)
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in _CONFIG_FILE_KEYS:
-                    raise ParseError(f"unknown config key {key!r}", lineno)
-                if key in ("weighted", "directed"):
-                    low = val.lower()
-                    if low in _TRUE:
-                        values[key] = True
-                    elif low in _FALSE:
-                        values[key] = False
-                    else:
-                        raise ParseError(f"expected boolean for {key}, got {val!r}", lineno)
-                else:
-                    try:
-                        values[key] = int(val, 0)
-                    except ValueError:
-                        raise ParseError(f"expected integer for {key}, got {val!r}", lineno) from None
-        values.update(overrides)
-        return cls(**values)

@@ -34,8 +34,8 @@ import numpy as np
 
 from .cfhash import CfhTable, ProbeStats
 from .core import IN, OUT  # re-exported: callers import the directions from here
-from .core import (MAX_VERTICES, SCAN_LIMIT, Config, GraphStore, VertexRangeError,
-                   next_pow2, partition_of)
+from .core import (BLOCK_BYTES, CACHE_LINE_BYTES, LINE_WORDS, MAX_VERTICES, SCAN_LIMIT,
+                   Config, GraphStore, VertexRangeError, next_pow2, partition_of)
 from .mempool import MemoryPool, alloc_aligned
 
 TYPE1 = 1
@@ -59,8 +59,8 @@ class _Side:
 
     __slots__ = ("meta", "mv", "views", "tables")
 
-    def __init__(self, num_vertices: int, line_words: int):
-        buf = alloc_aligned(num_vertices * line_words * 8)
+    def __init__(self, num_vertices: int):
+        buf = alloc_aligned(num_vertices * CACHE_LINE_BYTES)
         self.meta = buf.view(np.uint64)
         self.mv = memoryview(buf).cast("Q")
         self.views: list = [None] * num_vertices
@@ -92,14 +92,9 @@ class TangoStore(GraphStore):
         self.weighted = config.weighted
         self.directed = config.directed
         self._ew = 2 if config.weighted else 1  # words per edge
-        self._line_words = config.cache_line_bytes // 8
         self._min_cap = next_pow2(self.th0)
-        self._psize = config.partition_size
-        self.pools = [MemoryPool(config.block_bytes, debug=debug)
-                      for _ in range(num_threads)]
-        self._sides = [_Side(num_vertices, self._line_words)]
-        if config.directed:
-            self._sides.append(_Side(num_vertices, self._line_words))
+        self.pools = [MemoryPool(BLOCK_BYTES, debug=debug) for _ in range(num_threads)]
+        self._sides = [_Side(num_vertices) for _ in range(2 if config.directed else 1)]
         # One histogram set per pool partition: a partition's tables are only
         # touched by its owner worker, so no two threads update one dict.
         self._probe = [ProbeStats() for _ in range(num_threads)]
@@ -111,7 +106,7 @@ class TangoStore(GraphStore):
 
     def _part(self, v):
         """Pool partition of vertex v (or of each id in an array of them)."""
-        return partition_of(v, self.num_threads, self._psize)
+        return partition_of(v, self.num_threads)
 
     def _new_array(self, v: int, cap: int) -> tuple[int, np.ndarray]:
         pool = self.pools[self._part(v)]
@@ -138,7 +133,7 @@ class TangoStore(GraphStore):
         cap = mf.item(base + _CAP)
         part = self._part(v)
         tbl = CfhTable(2 * cap, pool=self.pools[part],
-                       slots_per_line=self.config.cache_line_bytes // 8, stats=self._probe[part])
+                       slots_per_line=LINE_WORDS, stats=self._probe[part])
         tbl.tracker = self.tracker
         view = side.views[v]
         step = self._ew
@@ -174,7 +169,7 @@ class TangoStore(GraphStore):
             raise VertexRangeError(f"edge ({v}, {nbr}) outside [0, {self.num_vertices})")
         st = self._sides[side]
         mv = st.mv
-        base = v * self._line_words
+        base = v * LINE_WORDS
         deg = mv[base]
         th0 = self.th0
         ew = self._ew
@@ -267,7 +262,7 @@ class TangoStore(GraphStore):
             raise VertexRangeError(f"edge ({v}, {nbr}) outside [0, {self.num_vertices})")
         st = self._sides[side]
         mv = st.mv
-        base = v * self._line_words
+        base = v * LINE_WORDS
         deg = mv[base]
         if deg == 0:
             return False
@@ -355,11 +350,11 @@ class TangoStore(GraphStore):
 
     def degree(self, v: int, side: int = OUT) -> int:
         self._check_vertex(v)
-        return self._sides[side].meta.item(v * self._line_words)
+        return self._sides[side].meta.item(v * LINE_WORDS)
 
     def degree_array(self, side: int = OUT) -> np.ndarray:
         """Degrees of all vertices as one array (a copy)."""
-        return self._sides[side].meta.reshape(-1, self._line_words)[:, 0].copy()
+        return self._sides[side].meta.reshape(-1, LINE_WORDS)[:, 0].copy()
 
     def vertex_kind(self, v: int, side: int = OUT) -> int:
         deg = self.degree(v, side)
@@ -371,7 +366,7 @@ class TangoStore(GraphStore):
         """Read-only view of one word (0 dst, 1 property) of each live edge."""
         self._check_vertex(v)
         st = self._sides[side]
-        base = v * self._line_words
+        base = v * LINE_WORDS
         deg = st.meta.item(base)
         ew = self._ew
         if deg <= self.th0:
@@ -402,7 +397,7 @@ class TangoStore(GraphStore):
         held there (Type2/3); one numpy gather per meta array or pool block
         reads them all. Hash tables are never touched.
         """
-        V, L, step = self.num_vertices, self._line_words, 8 * self._ew
+        V, L, step = self.num_vertices, LINE_WORDS, 8 * self._ew
         meta = self._sides[side].meta
         lines = meta.reshape(V, L)
         deg = lines[:, _DEG].astype(np.int64)
@@ -450,18 +445,18 @@ class TangoStore(GraphStore):
     def has_edge(self, src: int, dst: int) -> bool:
         self._check_vertex(src)
         st = self._sides[OUT]
-        deg = st.meta.item(src * self._line_words)
+        deg = st.meta.item(src * LINE_WORDS)
         if deg > self.th1:
             return st.tables[src].find(dst) is not None
         return bool(np.any(self.neighbors(src) == dst))
 
     def stored_edges(self, side: int = OUT) -> int:
         """Total stored (directed) edge slots on one side: sum of degrees."""
-        return int(self._sides[side].meta.reshape(-1, self._line_words)[:, 0].sum())
+        return int(self._sides[side].meta.reshape(-1, LINE_WORDS)[:, 0].sum())
 
     def memory_bytes(self) -> int:
         """Bytes the native layout occupies: meta lines + pool chunks."""
-        b = self.num_vertices * self.config.cache_line_bytes * len(self._sides)
+        b = self.num_vertices * CACHE_LINE_BYTES * len(self._sides)
         b += sum(p.bytes_in_use for p in self.pools)
         return b
 
@@ -498,7 +493,7 @@ class TangoStore(GraphStore):
         hash/array coherence scan and checks hash_bytes against every table."""
         st = self._sides[side]
         mf = st.meta
-        base = v * self._line_words
+        base = v * LINE_WORDS
         deg = mf.item(base)
         ew = self._ew
         view, tbl = st.views[v], st.tables[v]

@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.sparse import csgraph
 
-from graphtango import analytics
+from graphtango import analytics, core, store as store_module
 from graphtango.analytics import (
     UNREACHABLE,
     _relax_round,
@@ -221,10 +222,19 @@ def assert_export_matches_walk(store):
 
 
 def small_config(weighted, directed):
-    # th1 = 8 puts Type3 within reach of a 48-vertex graph; 4 KiB blocks
-    # make the pools carve several; 8-vertex partitions spread 2 threads.
-    return Config(weighted=weighted, directed=directed, th1=8,
-                  block_bytes=4096, partition_size=8)
+    # th1 = 8 puts Type3 within reach of a 48-vertex graph.
+    return Config(weighted=weighted, directed=directed, th1=8)
+
+
+@contextmanager
+def small_geometry():
+    """4 KiB pool blocks make the pools carve several, and 8-vertex
+    partitions spread a small graph over 2 threads. Holds for a store's
+    whole life: the store and partition_of read both on every allocation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(store_module, "BLOCK_BYTES", 4096)
+        mp.setattr(core, "PARTITION_SIZE", 8)
+        yield
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,32 +246,34 @@ def small_config(weighted, directed):
                               hs.integers(0, 47), hs.integers(0, 99)),
                     max_size=500))
 def test_csr_export_matches_neighbor_walk(cls, weighted, directed, threads, ops):
-    store = cls(small_config(weighted, directed), 48, threads)
-    for kind, u, v, w in ops:  # three inserts to one delete, hubs 0..3 favored
-        if kind:
-            store.insert_edge(u, v, w if weighted else None)
-        else:
-            store.delete_edge(u, v)
-    assert_export_matches_walk(store)
+    with small_geometry():
+        store = cls(small_config(weighted, directed), 48, threads)
+        for kind, u, v, w in ops:  # three inserts to one delete, hubs 0..3 favored
+            if kind:
+                store.insert_edge(u, v, w if weighted else None)
+            else:
+                store.delete_edge(u, v)
+        assert_export_matches_walk(store)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_csr_export_through_every_layout_change(weighted, threads):
-    cfg = small_config(weighted, True)
-    store = TangoStore(cfg, 64, threads)
-    hubs = (1, 9)  # partitions 0 and 1: separate pools with two threads
-    top = cfg.th1 + 2  # passes th0, th0 + 1, th1 and th1 + 1 both ways
-    for d in range(top):
-        for h in hubs:
-            store.insert_edge(h, 30 + d, 5 * d + h if weighted else None)
-        assert_export_matches_walk(store)
-    assert all(p.stats()["num_blocks"] > 1 for p in store.pools)
-    for d in range(top):  # delete oldest first: swaps reorder the rows
-        for h in hubs:
-            store.delete_edge(h, 30 + d)
-        assert_export_matches_walk(store)
-    assert store.stored_edges(OUT) == 0
+    with small_geometry():
+        cfg = small_config(weighted, True)
+        store = TangoStore(cfg, 64, threads)
+        hubs = (1, 9)  # partitions 0 and 1: separate pools with two threads
+        top = cfg.th1 + 2  # passes th0, th0 + 1, th1 and th1 + 1 both ways
+        for d in range(top):
+            for h in hubs:
+                store.insert_edge(h, 30 + d, 5 * d + h if weighted else None)
+            assert_export_matches_walk(store)
+        assert all(p.stats()["num_blocks"] > 1 for p in store.pools)
+        for d in range(top):  # delete oldest first: swaps reorder the rows
+            for h in hubs:
+                store.delete_edge(h, 30 + d)
+            assert_export_matches_walk(store)
+        assert store.stored_edges(OUT) == 0
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -269,16 +281,17 @@ def test_csr_export_through_every_layout_change(weighted, threads):
 def test_csr_export_over_many_blocks(weighted, threads):
     # Shuffled inserts spread each pool's chunks over many 4 KiB blocks, in
     # an order unrelated to vertex order.
-    el = shuffle(gen_synthetic("short", 300, 3000, seed=8, weighted=weighted), 8)
-    store = TangoStore(small_config(weighted, False), 300, threads)
-    wts = el.weights.tolist() if weighted else [None] * el.num_edges
-    for u, v, w in zip(el.srcs.tolist(), el.dsts.tolist(), wts):
-        store.insert_edge(u, v, w)
-    assert min(p.stats()["num_blocks"] for p in store.pools) >= 4
-    assert_export_matches_walk(store)
-    for u, v in zip(el.srcs[::3].tolist(), el.dsts[::3].tolist()):
-        store.delete_edge(u, v)
-    assert_export_matches_walk(store)
+    with small_geometry():
+        el = shuffle(gen_synthetic("short", 300, 3000, seed=8, weighted=weighted), 8)
+        store = TangoStore(small_config(weighted, False), 300, threads)
+        wts = el.weights.tolist() if weighted else [None] * el.num_edges
+        for u, v, w in zip(el.srcs.tolist(), el.dsts.tolist(), wts):
+            store.insert_edge(u, v, w)
+        assert min(p.stats()["num_blocks"] for p in store.pools) >= 4
+        assert_export_matches_walk(store)
+        for u, v in zip(el.srcs[::3].tolist(), el.dsts[::3].tolist()):
+            store.delete_edge(u, v)
+        assert_export_matches_walk(store)
 
 
 @pytest.mark.parametrize("cls", [TangoStore, AdListChunked, AdListShared])

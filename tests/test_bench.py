@@ -174,22 +174,20 @@ def test_route_batch_owner_and_order():
     rng = np.random.default_rng(0)
     srcs = rng.integers(0, 4000, 500, dtype=np.int64)
     dsts = rng.integers(0, 4000, 500, dtype=np.int64)
-    routed = route_batch(srcs, dsts, None, directed=True, num_threads=3,
-                         partition_size=512)
+    routed = route_batch(srcs, dsts, None, directed=True, num_threads=3)
     total = 0
     for w, (v, nbr, p, side) in enumerate(routed):
         total += len(v)
         assert p is None
         for x in v.tolist():
-            assert partition_of(x, 3, 512) == w
+            assert partition_of(x, 3) == w
     assert total == 1000  # every op lands in exactly one slice: out + in halves
 
 
 def test_route_batch_undirected_self_loop_mirror_skipped():
     srcs = np.array([5, 7, 5], dtype=np.int64)
     dsts = np.array([5, 8, 9], dtype=np.int64)
-    routed = route_batch(srcs, dsts, None, directed=False, num_threads=1,
-                         partition_size=512)
+    routed = route_batch(srcs, dsts, None, directed=False, num_threads=1)
     v, nbr, p, side = routed[0]
     # 3 directs + 2 mirrors; the (5,5) loop contributes one half only
     assert len(v) == 5
@@ -201,8 +199,7 @@ def test_route_batch_undirected_self_loop_mirror_skipped():
 def test_route_batch_directed_sides():
     srcs = np.array([1, 2], dtype=np.int64)
     dsts = np.array([2, 1], dtype=np.int64)
-    routed = route_batch(srcs, dsts, None, directed=True, num_threads=1,
-                         partition_size=512)
+    routed = route_batch(srcs, dsts, None, directed=True, num_threads=1)
     v, nbr, p, side = routed[0]
     out_pairs = {(a, b) for a, b, s in zip(v.tolist(), nbr.tolist(), side.tolist()) if s == 0}
     in_pairs = {(a, b) for a, b, s in zip(v.tolist(), nbr.tolist(), side.tolist()) if s == 1}
@@ -220,8 +217,7 @@ def test_routed_apply_keeps_mirror_props_consistent():
     props = np.array([111, 222], dtype=np.int64)
     ws = WorkerSet(store, 2)
     try:
-        ws.apply(True, route_batch(srcs, dsts, props, directed=False,
-                                   num_threads=2, partition_size=cfg.partition_size))
+        ws.apply(True, route_batch(srcs, dsts, props, directed=False, num_threads=2))
     finally:
         ws.close()
     assert store.get_edge_prop(3, 7) == 222
@@ -230,12 +226,15 @@ def test_routed_apply_keeps_mirror_props_consistent():
 
 
 def test_worker_apply_counts_weighted_overwrites():
-    store = TangoStore(Config(weighted=True), 10, num_threads=2)
+    # Vertex 600 sits in the second 512-vertex partition, so the repeated
+    # edge's two halves are applied by different workers.
+    store = TangoStore(Config(weighted=True), 1024, num_threads=2)
     ws = WorkerSet(store, 2)
     try:
-        batch = (np.array([1, 1, 2]), np.array([2, 2, 3]), np.array([5, 7, 1]))
-        routed = route_batch(*batch, directed=False, num_threads=2, partition_size=8)
-        assert ws.apply(True, routed) == 2  # both halves of the repeated (1, 2)
+        batch = (np.array([1, 1, 2]), np.array([600, 600, 3]), np.array([5, 7, 1]))
+        routed = route_batch(*batch, directed=False, num_threads=2)
+        assert [len(r[0]) for r in routed] == [4, 2]
+        assert ws.apply(True, routed) == 2  # both halves of the repeated (1, 600)
         assert ws.apply(True, routed) == 6
         assert ws.apply(False, routed) == 0
     finally:
@@ -252,7 +251,7 @@ def test_worker_errors_surface():
             ws.apply(True, bad)
         # the worker survives a failed batch
         good = route_batch(np.array([1]), np.array([2]), None, directed=False,
-                           num_threads=1, partition_size=512)
+                           num_threads=1)
         ws.apply(True, good)
     finally:
         ws.close()
@@ -308,8 +307,7 @@ def test_experiment_matches_single_thread_reference():
     try:
         for lo in range(0, el.num_edges, 700):
             s, d, w = el.slice(lo, lo + 700)
-            ws.apply(True, route_batch(s, d, w, directed=False, num_threads=3,
-                                       partition_size=cfg.partition_size))
+            ws.apply(True, route_batch(s, d, w, directed=False, num_threads=3))
     finally:
         ws.close()
     ref = reference_store(el, cfg)
@@ -471,6 +469,42 @@ def test_experiment_validation_errors():
         run_experiment(el, "tango", config=Config(weighted=True))
     with pytest.raises(ValueError):
         run_experiment(el, "tango", batch_size=0)
+
+
+def test_repeated_algorithm_refused_before_any_work(monkeypatch, capsys):
+    # A repeated kernel would run twice per batch, the second run
+    # incremental from the first's result, and overwrite its timings.
+    refuse_threads(monkeypatch)
+    el = gen_synthetic("short", 10, 50, seed=0)
+    with pytest.raises(ValueError, match="'bfs' given twice"):
+        run_experiment(el, "tango", algorithms=("bfs", "pr", "bfs"))
+    with pytest.raises(ValueError, match="'cc' given twice"):
+        run_th1_sweep(el, algorithms=("cc", "cc"))
+    rc = main(["--synthetic", "short", "--vertices", "10", "--edges", "100",
+               "--algorithms", "bfs,bfs"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'bfs' given twice" in err
+
+
+def test_routing_and_pools_share_one_owner_map(monkeypatch):
+    # A debug pool raises PoolError when any thread but its first user
+    # allocates or frees, so a half-op routed to a worker other than the
+    # one whose pool holds its vertex's chunks fails the run. V > 1024
+    # gives each of the three workers a 512-vertex partition.
+    stores = []
+
+    def debug_store(fmt, config, num_vertices, num_threads=1):
+        stores.append(TangoStore(config, num_vertices, num_threads, debug=True))
+        return stores[-1]
+
+    monkeypatch.setattr(harness, "make_store", debug_store)
+    el = shuffle(gen_synthetic("heavy", 2000, 20000, seed=3), 3)
+    reports, _ = run_experiment(el, "tango", config=Config(th1=8), algorithms=(),
+                                batch_size=5000, num_threads=3)
+    assert max(r.hash_bytes for r in reports) > 0  # Type3 hubs built tables
+    assert all(p.stats()["num_blocks"] > 0 for p in stores[0].pools)
+    assert reports[-1].live_edges == 0
 
 
 # -- reports -----------------------------------------------------------------
@@ -654,13 +688,17 @@ def test_cli_sweep(tmp_path, capsys):
     assert [r["th1"] for r in rows] == [8, 16, 32, 64, 128, 256, 512]
 
 
-def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
+def test_cli_th1_flag_and_no_config_file(tmp_path, capsys):
+    argv = ["--synthetic", "short", "--vertices", "30", "--edges", "90",
+            "--weighted", "--th1", "16", "--algorithms", ""]
+    assert main(argv) == 0
+    assert "th1=16" in capsys.readouterr().out
     cfgf = tmp_path / "cfg.txt"
-    cfgf.write_text("th1 = 64\nweighted = yes\n")
-    rc = main(["--synthetic", "short", "--vertices", "30", "--edges", "90",
-               "--config", str(cfgf), "--th1", "16", "--algorithms", ""])
-    assert rc == 0
-    assert "th1=16" in capsys.readouterr().out  # flag beats file
+    cfgf.write_text("th1 = 64\n")
+    with pytest.raises(SystemExit) as ei:
+        main(argv + ["--config", str(cfgf)])
+    assert ei.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_cli_weight_beyond_int64_exits_2(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from graphtango.core import (
+    CACHE_LINE_BYTES,
     Config,
     ConfigError,
-    ParseError,
     compute_th0,
     next_pow2,
     partition_of,
@@ -40,8 +41,9 @@ def test_partition_of():
     assert partition_of(2047, 4) == 3
     assert partition_of(2048, 4) == 0
     assert partition_of(123456, 1) == 0
-    # contiguous runs of partition_size ids share an owner
+    # contiguous runs of PARTITION_SIZE ids share an owner
     assert len({partition_of(v, 8) for v in range(512)}) == 1
+    assert partition_of(np.array([0, 511, 512, 1536]), 2).tolist() == [0, 0, 1, 1]
 
 
 def test_config_defaults():
@@ -63,45 +65,17 @@ def test_config_validation():
     Config(weighted=True, th1=4)  # smallest legal weighted th1
     with pytest.raises(ConfigError):
         Config(weighted=True, th1=2)
-    with pytest.raises(ConfigError):
-        Config(cache_line_bytes=48)
-    with pytest.raises(ConfigError):
-        Config(partition_size=0)
-    with pytest.raises(ConfigError):
-        Config(partition_size=13)
-    with pytest.raises(ConfigError):
-        Config(block_bytes=1000)
+
+
+def test_config_fixes_the_geometry():
+    # Only weights, direction and th1 are settable; the line is 64 bytes.
+    for knob in (dict(cache_line_bytes=32), dict(partition_size=8), dict(block_bytes=4096)):
+        with pytest.raises(TypeError):
+            Config(**knob)
+    assert Config.cache_line_bytes == CACHE_LINE_BYTES == 64
+    assert Config(weighted=True).cache_line_bytes == 64
 
 
 def test_config_th0_follows_line_size():
-    assert Config(cache_line_bytes=128).th0 == 15
-    assert Config(cache_line_bytes=128, weighted=True).th0 == 7
-
-
-def test_config_from_file(tmp_path):
-    p = tmp_path / "bench.conf"
-    p.write_text(
-        "# benchmark knobs\n"
-        "th1 = 16\n"
-        "weighted = true\n"
-        "partition_size = 256   # smaller runs\n"
-        "\n"
-    )
-    cfg = Config.from_file(p)
-    assert cfg.th1 == 16
-    assert cfg.weighted is True
-    assert cfg.partition_size == 256
-    # keyword overrides win over file values
-    cfg2 = Config.from_file(p, th1=64)
-    assert cfg2.th1 == 64
-
-
-def test_config_from_file_errors(tmp_path):
-    p = tmp_path / "bad.conf"
-    p.write_text("th1\n")
-    with pytest.raises(ParseError) as ei:
-        Config.from_file(p)
-    assert ei.value.lineno == 1
-    p.write_text("no_such_knob = 3\n")
-    with pytest.raises(ParseError):
-        Config.from_file(p)
+    assert compute_th0(128, 8) == 15
+    assert compute_th0(128, 16) == 7

@@ -295,7 +295,7 @@ def test_hash_bytes_tracks_every_table(weighted, directed, num_threads):
     # Hubs in several partitions climb through builds and doubling rebuilds,
     # then fall back through halving rebuilds and releases.
     store = make_store(V=2048, num_threads=num_threads, weighted=weighted,
-                       directed=directed, partition_size=512)
+                       directed=directed)
     hubs = (3, 700, 1500)
     meta = 2048 * 64 * (2 if directed else 1)
     seen = set()

@@ -66,8 +66,7 @@ def replay(name: str) -> list:
             # Workers own disjoint vertices and pools, so applying their
             # slices one after another builds the threaded run's store.
             for vs, ns, ps, sd in route_batch(srcs, dsts, wts, directed=cfg.directed,
-                                              num_threads=threads,
-                                              partition_size=cfg.partition_size):
+                                              num_threads=threads):
                 apply_ops(store, phase == "insert", vs, ns, ps, sd)
             rec = {"phase": phase, "live_edges": store.live_edges(),
                    "memory_bytes": store.memory_bytes(), "hash_bytes": store.hash_bytes,
