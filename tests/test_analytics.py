@@ -155,6 +155,88 @@ def test_pr_sink_mass_not_redistributed():
     assert np.allclose(r.values, want, atol=1e-9)
 
 
+def power_pr(snap, prev=None, d=0.85, tol=1e-7, max_iters=100):
+    """Plain power iteration written with run_pr's numpy calls, so a
+    directed run must match it bit for bit. Returns (ranks, rounds, the
+    L1 change of every step)."""
+    V = snap.num_vertices
+    outdeg = snap.out_degrees()
+    rank = np.full(V, 1.0 / V) if prev is None else prev.copy()
+    base = (1.0 - d) / V
+    contrib = np.zeros(V)
+    deltas = []
+    for it in range(1, max_iters + 1):
+        np.divide(rank, outdeg, out=contrib, where=outdeg > 0)
+        acc = np.bincount(snap.indices, weights=np.repeat(contrib, outdeg), minlength=V)
+        new = base + d * acc
+        deltas.append(float(np.abs(new - rank).sum()))
+        rank = new
+        if deltas[-1] < tol:
+            break
+    return rank, it, deltas
+
+
+# Chebyshev's rate over [-d, d], the step ratio that switches an undirected run
+PR_SWITCH = 0.85 / (1 + np.sqrt(1 - 0.85 ** 2))
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_pr_directed_is_plain_power_iteration(seed):
+    V = 300
+    edges = random_graph(V, 420, seed=seed, directed=True)
+    store = load(TangoStore, V, edges[:280], False, True)
+    first = build_snapshot(store)
+    for (u, v), _ in edges[280:]:
+        store.insert_edge(u, v)
+    snap = build_snapshot(store)
+    for s, prev in ((first, None), (snap, None), (snap, run_pr(first).values)):
+        want, rounds, deltas = power_pr(s, prev=prev)
+        # a sparse stream stalls: an undirected run would have switched here
+        assert any(b > PR_SWITCH * a for a, b in zip(deltas, deltas[1:]))
+        got = run_pr(s, prev=prev)
+        assert np.array_equal(got.values, want)
+        assert got.rounds == rounds
+
+
+def forest_with_odd_cycle():
+    """Disjoint paths, stars, one 9-cycle and isolated vertices, undirected."""
+    store = TangoStore(Config(), 260)
+    v = 0
+    for n in (2, 5, 11, 24, 47):          # paths on n vertices
+        for i in range(n - 1):
+            store.insert_edge(v + i, v + i + 1)
+        v += n
+    for leaves in (1, 3, 9, 40):          # stars
+        for i in range(1, leaves + 1):
+            store.insert_edge(v, v + i)
+        v += leaves + 1
+    for i in range(9):
+        store.insert_edge(v + i, v + (i + 1) % 9)
+    v += 9
+    assert v < store.num_vertices       # the rest stay isolated
+    return store
+
+
+def test_pr_undirected_chebyshev_within_bound():
+    snap = build_snapshot(forest_with_odd_cycle())
+    exact, _, _ = power_pr(snap, tol=1e-14, max_iters=10_000)
+    _, power_rounds, _ = power_pr(snap, max_iters=10_000)
+    got = run_pr(snap)
+    assert float(np.abs(got.values - exact).sum()) <= 1e-7 * 0.85 / 0.15
+    assert 2 * got.rounds < power_rounds
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iters": 0}, {"max_iters": -3},
+    {"damping": 1.5}, {"damping": 1.0}, {"damping": 0.0}, {"damping": float("nan")},
+    {"tol": 0.0}, {"tol": -1e-7}, {"tol": float("inf")}, {"tol": float("nan")},
+])
+def test_pr_refuses_bad_arguments(kwargs):
+    for V in (0, 3):                    # checked before the empty-graph return
+        with pytest.raises(ValueError):
+            run_pr(build_snapshot(TangoStore(Config(), V)), **kwargs)
+
+
 def test_bfs_unreachable_and_sources():
     store = TangoStore(Config(), 6)
     store.insert_edge(0, 1)
@@ -359,17 +441,18 @@ def test_incremental_cc_matches_full(directed):
 
 def test_pr_warm_start_converges_same():
     V = 150
-    all_edges = random_graph(V, 600, seed=13, directed=True)
-    first, second = all_edges[:400], all_edges[400:]
-    store = load(TangoStore, V, first, False, True)
-    prev = run_pr(build_snapshot(store)).values
-    for (u, v), _ in second:
-        store.insert_edge(u, v)
-    snap = build_snapshot(store)
-    warm = run_pr(snap, prev=prev)
-    cold = run_pr(snap)
-    assert warm.mode == "incremental"
-    assert np.allclose(warm.values, cold.values, atol=1e-5)
+    for directed in (True, False):
+        all_edges = random_graph(V, 600, seed=13, directed=directed)
+        first, second = all_edges[:400], all_edges[400:]
+        store = load(TangoStore, V, first, False, directed)
+        prev = run_pr(build_snapshot(store)).values
+        for (u, v), _ in second:
+            store.insert_edge(u, v)
+        snap = build_snapshot(store)
+        warm = run_pr(snap, prev=prev)
+        cold = run_pr(snap)
+        assert warm.mode == "incremental"
+        assert np.allclose(warm.values, cold.values, atol=1e-5)
 
 
 def test_snapshot_never_touches_hash_tables():
