@@ -21,11 +21,11 @@ halves it, crossing TH1 builds or drops the hash table, and crossing TH0
 moves edges between the inline record and a pool chunk. The edge array is
 kept packed by moving the last edge into any deleted slot.
 
-Edge arrays and hash chunks come from per-worker-thread memory pools;
-vertex v's chunks always come from pool partition_of(v), so every free goes
-back to the pool that allocated it. The store keeps a running count of
-the pool bytes its hash tables hold (hash_bytes), per partition like the
-probe histograms.
+Each worker owns the vertices partition_of maps to it and writes one record
+for them: the pool all their chunks come from (so every free goes back to
+the pool that allocated it), their tables' probe histograms, a running count
+of the bytes those tables hold, and the edges their moves copied. The
+store's hash_bytes, stats and resize_copies are sums over the records.
 """
 
 from __future__ import annotations
@@ -48,6 +48,17 @@ _CAP = 1
 _EDGES = 2
 _HASH = 3
 _HASHCAP = 4
+
+class _Partition(MemoryPool):
+    """One worker's record: its pool plus counters for the vertices it owns.
+    Only the owner writes it, so no two threads update one counter or dict."""
+
+    def __init__(self, debug: bool):
+        super().__init__(BLOCK_BYTES, debug=debug)
+        self.probe = ProbeStats()  # histograms of this partition's tables
+        self.hash_bytes = 0  # chunk bytes of this partition's tables
+        self.copies = 0  # edges copied by grows, shrinks, type switches
+
 
 class _Side:
     """Adjacency state for one direction: metadata, edge views, hash tables.
@@ -93,63 +104,59 @@ class TangoStore(GraphStore):
         self.directed = config.directed
         self._ew = 2 if config.weighted else 1  # words per edge
         self._min_cap = next_pow2(self.th0)
-        self.pools = [MemoryPool(BLOCK_BYTES, debug=debug) for _ in range(num_threads)]
+        self.pools = [_Partition(debug) for _ in range(num_threads)]
         self._sides = [_Side(num_vertices) for _ in range(2 if config.directed else 1)]
-        # One histogram set per pool partition: a partition's tables are only
-        # touched by its owner worker, so no two threads update one dict.
-        self._probe = [ProbeStats() for _ in range(num_threads)]
-        self._hash_bytes = [0] * num_threads  # chunk bytes of each partition's tables
-        self.resize_copies = 0  # edges copied by grows, shrinks, type switches
         self.tracker = None
 
     # -- helpers -------------------------------------------------------------
 
-    def _part(self, v):
-        """Pool partition of vertex v (or of each id in an array of them)."""
-        return partition_of(v, self.num_threads)
+    def _move_edges(self, side: _Side, v: int, base: int, deg: int,
+                    cap: int) -> np.ndarray | None:
+        """Move v's deg edges to a fresh chunk of cap edges and return its view,
+        or move them inline (cap 0, returns None). Every grow, shrink and TH0
+        crossing comes here: allocate from the owner's pool, copy, free the
+        chunk the edges left, point the meta record, count the copies."""
+        part = self.pools[partition_of(v, self.num_threads)]
+        old = side.views[v]
+        n = deg * self._ew
+        inline = side.meta[base + 1:base + 1 + n]
+        chunk = side.mv[base + _EDGES]  # read first: moving inline overwrites it
+        if cap:
+            new = part.allocate(cap * self._ew * 8)
+            view = part.u64_view(new, cap * self._ew)
+            view[:n] = inline if old is None else old[:n]
+            side.mv[base + _CAP] = cap
+            side.mv[base + _EDGES] = new
+        else:
+            view = None
+            inline[:] = old[:n]
+        if old is not None:
+            part.deallocate(chunk, len(old) * 8)
+        side.views[v] = view
+        part.copies += deg
+        return view
 
-    def _new_array(self, v: int, cap: int) -> tuple[int, np.ndarray]:
-        pool = self.pools[self._part(v)]
-        chunk = pool.allocate(cap * self._ew * 8)
-        return chunk, pool.u64_view(chunk, cap * self._ew)
-
-    def _resize_array(self, side: _Side, v: int, base: int, deg: int,
-                      cap: int, new_cap: int) -> np.ndarray:
-        """Move the edge array to a new_cap chunk, copying deg live edges."""
-        mv = side.mv
-        ew = self._ew
-        new_chunk, new_view = self._new_array(v, new_cap)
-        new_view[:deg * ew] = side.views[v][:deg * ew]
-        self.pools[self._part(v)].deallocate(mv[base + _EDGES], cap * ew * 8)
-        mv[base + _CAP] = new_cap
-        mv[base + _EDGES] = new_chunk
-        side.views[v] = new_view
-        self.resize_copies += deg
-        return new_view
-
-    def _build_table(self, side: _Side, v: int, base: int, deg: int) -> CfhTable:
+    def _build_table(self, side: _Side, v: int, base: int, deg: int) -> None:
         """Attach a dst -> index hash at 2 x cap slots covering deg edges."""
         mf = side.meta
         cap = mf.item(base + _CAP)
-        part = self._part(v)
-        tbl = CfhTable(2 * cap, pool=self.pools[part],
-                       slots_per_line=LINE_WORDS, stats=self._probe[part])
+        part = self.pools[partition_of(v, self.num_threads)]
+        tbl = CfhTable(2 * cap, pool=part, slots_per_line=LINE_WORDS, stats=part.probe)
         tbl.tracker = self.tracker
         view = side.views[v]
         step = self._ew
         tbl.bulk_load((view.item(j * step), j) for j in range(deg))
         side.tables[v] = tbl
-        self._hash_bytes[part] += tbl.chunk_bytes
+        part.hash_bytes += tbl.chunk_bytes
         mf[base + _HASH] = tbl._chunk
         mf[base + _HASHCAP] = tbl.capacity_slots
-        return tbl
 
-    def _resize_table(self, mv, v: int, base: int, tbl: CfhTable, slots: int) -> None:
-        """Rebuild v's table at slots and point the meta record at it."""
-        part = self._part(v)
-        self._hash_bytes[part] -= tbl.chunk_bytes
+    def _resize_table(self, mv, base: int, tbl: CfhTable, slots: int) -> None:
+        """Rebuild a table at slots and point the meta record at it."""
+        part = tbl.pool  # the owner's record: every table lives in its owner's pool
+        part.hash_bytes -= tbl.chunk_bytes
         tbl.rebuild(slots)
-        self._hash_bytes[part] += tbl.chunk_bytes
+        part.hash_bytes += tbl.chunk_bytes
         mv[base + _HASH] = tbl._chunk
         mv[base + _HASHCAP] = tbl.capacity_slots
 
@@ -192,14 +199,7 @@ class TangoStore(GraphStore):
                 mv[base] = deg + 1
                 return True
             # Type1 -> Type2: move the inline edges out, then append.
-            chunk, view = self._new_array(v, self._min_cap)
-            view[:th0 * ew] = st.meta[off:off + th0 * ew]
-            mv[base + _CAP] = self._min_cap
-            mv[base + _EDGES] = chunk
-            mv[base + _HASH] = 0
-            mv[base + _HASHCAP] = 0
-            st.views[v] = view
-            self.resize_copies += th0
+            view = self._move_edges(st, v, base, th0, self._min_cap)
         elif deg <= self.th1:
             # Type2: linear scan of the pool-resident array
             view = st.views[v]
@@ -216,7 +216,7 @@ class TangoStore(GraphStore):
                     view[2 * j + 1] = prop
                 return False
             if deg == mv[base + _CAP]:
-                view = self._resize_array(st, v, base, deg, deg, deg * 2)
+                view = self._move_edges(st, v, base, deg, deg * 2)
         else:
             # Type3: hash lookup. The walk ends where nbr goes, unless the
             # array is full and the table is rebuilt first.
@@ -229,8 +229,8 @@ class TangoStore(GraphStore):
                 return False
             cap = mv[base + _CAP]
             if deg == cap:
-                view = self._resize_array(st, v, base, deg, cap, cap * 2)
-                self._resize_table(mv, v, base, tbl, 4 * cap)
+                view = self._move_edges(st, v, base, deg, cap * 2)
+                self._resize_table(mv, base, tbl, 4 * cap)
                 tbl.insert(nbr, deg)
             else:
                 tbl.put_at(slot, nbr, deg, dist)
@@ -326,24 +326,17 @@ class TangoStore(GraphStore):
         cap = mv[base + _CAP]
         if last == self.th1:
             # Type3 -> Type2: halve the array, drop the hash table.
-            self._resize_array(st, v, base, last, cap, cap >> 1)
-            self._hash_bytes[self._part(v)] -= tbl.chunk_bytes
+            self._move_edges(st, v, base, last, cap >> 1)
+            tbl.pool.hash_bytes -= tbl.chunk_bytes
             tbl.release()
             st.tables[v] = None
-            mv[base + _HASH] = 0
-            mv[base + _HASHCAP] = 0
         elif last == th0:
             # Type2 -> Type1: edges come back inline, chunk is freed.
-            # Grab the handle first: the copy overwrites meta words 1..7.
-            chunk = mv[base + _EDGES]
-            st.meta[base + 1:base + 1 + th0 * ew] = view[:th0 * ew]
-            self.pools[self._part(v)].deallocate(chunk, cap * ew * 8)
-            st.views[v] = None
-            self.resize_copies += th0
+            self._move_edges(st, v, base, th0, 0)
         elif last == cap >> 2:
-            self._resize_array(st, v, base, last, cap, cap >> 1)
+            self._move_edges(st, v, base, last, cap >> 1)
             if tbl is not None:
-                self._resize_table(mv, v, base, tbl, cap)  # 2 x the halved capacity
+                self._resize_table(mv, base, tbl, cap)  # 2 x the halved capacity
         return True
 
     # -- cursors and introspection ----------------------------------------------
@@ -409,7 +402,7 @@ class TangoStore(GraphStore):
         inline = deg <= self.th0
         start = np.where(inline, np.arange(8, 8 * V * L, 8 * L),
                          lines[:, _EDGES].astype(np.int64))
-        buf = np.where(inline, 0, self._part(np.arange(V)) + 1)
+        buf = np.where(inline, 0, partition_of(np.arange(V), self.num_threads) + 1)
         # Visit rows by buffer, then by address, so each buffer reads one
         # run of ascending addresses; pos puts every edge back in row order.
         rows = np.lexsort((start, buf))
@@ -463,12 +456,17 @@ class TangoStore(GraphStore):
     @property
     def hash_bytes(self) -> int:
         """Pool bytes held by Type3 hash tables, part of memory_bytes()."""
-        return sum(self._hash_bytes)
+        return sum(p.hash_bytes for p in self.pools)
+
+    @property
+    def resize_copies(self) -> int:
+        """Edges copied by grows, shrinks and type switches."""
+        return sum(p.copies for p in self.pools)
 
     @property
     def stats(self) -> ProbeStats:
         """Probe histograms summed over every partition (a fresh copy)."""
-        return ProbeStats.merged(self._probe)
+        return ProbeStats.merged(p.probe for p in self.pools)
 
     def probe_stats(self) -> dict:
         return self.stats.snapshot()
@@ -489,8 +487,8 @@ class TangoStore(GraphStore):
     # -- invariant checking (tests) ----------------------------------------------
 
     def check_invariants(self, v: int, side: int = OUT, deep: bool = False) -> None:
-        """Assert the layout invariants for one vertex; deep adds the
-        hash/array coherence scan and checks hash_bytes against every table."""
+        """Assert the layout invariants for one vertex; deep adds the hash/array
+        coherence scan and checks each record's hash_bytes against its tables."""
         st = self._sides[side]
         mf = st.meta
         base = v * LINE_WORDS
@@ -499,8 +497,10 @@ class TangoStore(GraphStore):
         view, tbl = st.views[v], st.tables[v]
         assert 0 <= deg <= self.num_vertices, f"v{v}: absurd degree {deg}"
         if deep:
-            held = sum(t.chunk_bytes for s in self._sides for t in s.tables if t is not None)
-            assert self.hash_bytes == held, f"hash_bytes {self.hash_bytes} != {held} held"
+            for p, part in enumerate(self.pools):
+                held = sum(t.chunk_bytes for s in self._sides for u, t in enumerate(s.tables)
+                           if t is not None and partition_of(u, self.num_threads) == p)
+                assert part.hash_bytes == held, f"p{p}: hash_bytes {part.hash_bytes} != {held}"
         if deg <= self.th0:
             assert view is None and tbl is None, f"v{v}: Type1 with external storage"
             return

@@ -350,12 +350,24 @@ def test_experiment_deterministic_across_runs():
             assert np.array_equal(x[k], y[k])
 
 
-def test_experiment_probe_hists_independent_of_thread_count():
+def test_experiment_probe_hists_independent_of_thread_count(monkeypatch):
     # Each vertex sees the same op order under any thread count, so every
-    # batch's probe histograms and hash_bytes must match the single-threaded
-    # run's. Three workers and a tiny switch interval interleave the threads
-    # often enough for a lost histogram or hash_bytes update to show within
-    # one run.
+    # batch's probe histograms, hash_bytes and resize_copies must match the
+    # single-threaded run's. Three workers and a tiny switch interval
+    # interleave the threads often enough for a lost histogram, hash_bytes
+    # or copy count update to show within one run.
+    copies = []
+
+    class CopyLog(TangoStore):
+        def probe_stats(self):  # the harness calls it once after each batch
+            copies[-1].append(self.resize_copies)
+            return super().probe_stats()
+
+    def logged_store(fmt, config, num_vertices, num_threads=1):
+        copies.append([])
+        return CopyLog(config, num_vertices, num_threads)
+
+    monkeypatch.setattr(harness, "make_store", logged_store)
     el = shuffle(gen_synthetic("heavy", 3000, 30000, seed=7), 7)
     hists = []
     interval = sys.getswitchinterval()
@@ -368,6 +380,8 @@ def test_experiment_probe_hists_independent_of_thread_count():
     finally:
         sys.setswitchinterval(interval)
     assert hists[0] == hists[1]
+    assert copies[0] == copies[1] and len(copies[0]) == len(hists[0])
+    assert copies[0][-1] > copies[0][len(copies[0]) // 2] > 0  # deletes copy too
     assert sum(sum(ins.values()) for ins, _, _ in hists[0]) > 1000
     assert len({h for _, _, h in hists[0]}) > 10  # tables were built, resized and freed
 

@@ -252,23 +252,39 @@ def test_self_loop():
 
 
 def test_resize_copy_counter_exact():
-    n = 20000
-    store = TangoStore(Config(), n + 1)
-    for k in range(n):
-        store.insert_half(0, k + 1)
-    # independent accounting of the documented copy costs: TH0 edges when
-    # the inline record spills, cap edges at every doubling
-    sim, deg, cap = 0, 0, 0
-    for _ in range(n):
-        if deg == 7 and cap == 0:
-            sim += 7
-            cap = 8
-        elif deg and deg == cap:
-            sim += deg
-            cap *= 2
-        deg += 1
-    assert store.resize_copies == sim
-    assert store.resize_copies <= 4 * n
+    for weighted, th0, min_cap in ((False, 7, 8), (True, 3, 4)):
+        n = 20000
+        store = TangoStore(Config(weighted=weighted), n + 1)
+        assert store.th0 == th0
+        for k in range(n):
+            store.insert_half(0, k + 1, k)
+        # independent accounting of the documented copy costs: TH0 edges when
+        # the inline record spills, cap edges at every doubling
+        sim, deg, cap = 0, 0, 0
+        for _ in range(n):
+            if deg == th0 and cap == 0:
+                sim += th0
+                cap = min_cap
+            elif deg and deg == cap:
+                sim += deg
+                cap *= 2
+            deg += 1
+        assert store.resize_copies == sim
+        assert store.resize_copies <= 4 * n
+        # Deleting back to degree 0: deg edges at every halving (deg == cap/4,
+        # or the TH1 crossing that drops the table), TH0 when they come inline.
+        th1 = store.th1
+        for k in range(n):
+            store.delete_half(0, k + 1)
+            deg -= 1
+            if deg == th0 and cap:
+                sim += th0
+                cap = 0
+            elif cap and (deg == th1 or deg == cap // 4):
+                sim += deg
+                cap //= 2
+            assert store.resize_copies == sim, f"weighted={weighted}, after delete {k}"
+        assert store.degree(0) == 0 and pool_bytes(store) == 0
 
 
 def test_memory_accounting():
