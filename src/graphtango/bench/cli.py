@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat edges as directed")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write the per-batch report here")
-    p.add_argument("--report-format", choices=("csv", "tsv"), default="csv")
     p.add_argument("--sweep-th1", action="store_true",
                    help="run the hybrid store across th1 in {8,16,...,512} "
                         "and report one row per value")
@@ -116,9 +115,7 @@ def main(argv=None) -> int:
                                  batch_size=args.batch_size,
                                  num_threads=args.threads)
             if args.report:
-                emit_sweep_report(rows, args.report,
-                                  report_format=args.report_format,
-                                  extra_meta=meta)
+                emit_sweep_report(rows, args.report, extra_meta=meta)
                 print(f"sweep report written to {args.report}")
             for row in rows:
                 print(f"th1={row['th1']:<4d} insert={row['insert_geomean_eps']:.0f}/s "
@@ -130,8 +127,7 @@ def main(argv=None) -> int:
             el, args.format, config=cfg, algorithms=algorithms,
             batch_size=args.batch_size, num_threads=args.threads)
         if args.report:
-            emit_report(reports, summary, args.report,
-                        report_format=args.report_format, extra_meta=meta)
+            emit_report(reports, summary, args.report, extra_meta=meta)
             print(f"report written to {args.report}")
         print(f"format={summary.format} vertices={summary.num_vertices} "
               f"edges={summary.num_edges} threads={summary.num_threads} "

@@ -490,14 +490,13 @@ def _num(x) -> str:
 
 
 def emit_report(reports, summary: ExperimentSummary, path, *,
-                report_format: str = "csv", extra_meta: dict | None = None) -> None:
-    """Write one row per batch plus a summary row.
+                extra_meta: dict | None = None) -> None:
+    """Write one CSV row per batch plus a summary row.
 
     Output is deterministic for a deterministic run: comment lines carry the
     experiment parameters and the PageRank formula, a header row names every
     column, and numeric fields round-trip exactly through repr.
     """
-    delim = _delimiter(report_format)
     meta = {
         "format": summary.format,
         "num_vertices": summary.num_vertices,
@@ -514,7 +513,7 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(f"# {PR_FORMULA_NOTE}\n")
-        writer = csv.DictWriter(fh, REPORT_COLUMNS, restval="", delimiter=delim)
+        writer = csv.DictWriter(fh, REPORT_COLUMNS, restval="")
         writer.writeheader()
         for r in reports:
             row = {
@@ -543,34 +542,23 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
         })
 
 
-def emit_sweep_report(rows, path, *, report_format: str = "csv",
-                      extra_meta: dict | None = None) -> None:
-    delim = _delimiter(report_format)
+def emit_sweep_report(rows, path, *, extra_meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# graphtango-bench th1 sweep\n")
         for k, v in (extra_meta or {}).items():
             fh.write(f"# {k}: {v}\n")
         fh.write(f"# {PR_FORMULA_NOTE}\n")
-        writer = csv.writer(fh, delimiter=delim)
+        writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([_num(row[c]) if isinstance(row[c], float) else row[c]
                              for c in SWEEP_COLUMNS])
 
 
-def _delimiter(report_format: str) -> str:
-    if report_format == "csv":
-        return ","
-    if report_format == "tsv":
-        return "\t"
-    raise ValueError(f"unknown report format {report_format!r}")
-
-
 def parse_report(path):
     """Read back an emitted report: (comment lines, header, rows as dicts).
 
-    Numeric fields are parsed to int/float; empty fields become None. The
-    delimiter is sniffed from the header row, so csv and tsv both load.
+    Numeric fields are parsed to int/float; empty fields become None.
     """
     comments: list[str] = []
     header: list[str] = []
@@ -585,8 +573,7 @@ def parse_report(path):
             body.append(ln)
     if not body:
         return comments, header, rows
-    delim = "\t" if "\t" in body[0] else ","
-    reader = csv.reader(body, delimiter=delim)
+    reader = csv.reader(body)
     header = next(reader)
     for rec in reader:
         row = {}

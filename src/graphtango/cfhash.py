@@ -149,8 +149,8 @@ class CfhTable:
     """
 
     __slots__ = ("pool", "capacity_slots", "m_lines", "n_slots", "live_count",
-                 "tombstone_count", "stats", "tracker", "_own_pool", "_log_n",
-                 "_chunk", "_words", "_wmv", "_shift3", "_shift4")
+                 "tombstone_count", "stats", "_own_pool", "_log_n", "_chunk",
+                 "_words", "_wmv", "_shift3", "_shift4")
 
     def __init__(self, capacity_slots: int, *, pool: MemoryPool | None = None,
                  slots_per_line: int = 8, stats: ProbeStats | None = None):
@@ -162,7 +162,6 @@ class CfhTable:
         self.pool = MemoryPool() if pool is None else pool
         self.n_slots = slots_per_line
         self.stats = ProbeStats() if stats is None else stats
-        self.tracker = None
         self.live_count = 0
         self.tombstone_count = 0
         self._set_capacity(capacity_slots)
@@ -201,12 +200,9 @@ class CfhTable:
         mask_n = n - 1
         mask_m = self.m_lines - 1
         log_n = self._log_n
-        tr = self.tracker
         free = -1
         for line in range(self.m_lines):
             base = ((h3 + line * h4) & mask_m) << log_n
-            if tr is not None:
-                tr.add(("hash", base >> log_n))
             for x in range(n):
                 slot = base | ((key + x) & mask_n)
                 w = words[slot]

@@ -70,13 +70,12 @@ def alloc_aligned(size: int, alignment: int = PAGE_BYTES) -> np.ndarray:
 class _Block:
     # mv aliases the same buffer as u64; free-list link words go through it
     # because a memoryview scalar is about half the cost of a numpy one.
-    __slots__ = ("bytes8", "u64", "mv", "shadow", "size", "klass")
+    __slots__ = ("bytes8", "u64", "mv", "shadow", "klass")
 
     def __init__(self, size: int, klass: int, debug: bool):
         self.bytes8 = alloc_aligned(size)
         self.u64 = self.bytes8.view(np.uint64)
         self.mv = memoryview(self.bytes8).cast("Q")
-        self.size = size
         self.klass = klass
         self.shadow = np.zeros(size >> 3, dtype=bool) if debug else None
 

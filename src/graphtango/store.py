@@ -106,7 +106,6 @@ class TangoStore(GraphStore):
         self._min_cap = next_pow2(self.th0)
         self.pools = [_Partition(debug) for _ in range(num_threads)]
         self._sides = [_Side(num_vertices) for _ in range(2 if config.directed else 1)]
-        self.tracker = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -142,7 +141,6 @@ class TangoStore(GraphStore):
         cap = mf.item(base + _CAP)
         part = self.pools[partition_of(v, self.num_threads)]
         tbl = CfhTable(2 * cap, pool=part, slots_per_line=LINE_WORDS, stats=part.probe)
-        tbl.tracker = self.tracker
         view = side.views[v]
         step = self._ew
         tbl.bulk_load((view.item(j * step), j) for j in range(deg))
@@ -180,10 +178,6 @@ class TangoStore(GraphStore):
         deg = mv[base]
         th0 = self.th0
         ew = self._ew
-        tr = self.tracker
-        if tr is not None:
-            tr.clear()
-            tr.add(("meta", side, v))
         if deg <= th0:
             # Type1: edges inline in the meta record
             off = base + 1
@@ -203,8 +197,6 @@ class TangoStore(GraphStore):
         elif deg <= self.th1:
             # Type2: linear scan of the pool-resident array
             view = st.views[v]
-            if tr is not None:
-                self._track_scan(tr, side, v, deg)
             if deg <= SCAN_LIMIT:
                 dsts = view[:deg * ew:ew].tolist()
                 j = dsts.index(nbr) if nbr in dsts else -1
@@ -240,16 +232,10 @@ class TangoStore(GraphStore):
         if ew == 2:
             view[at + 1] = prop
         mv[base] = deg + 1
-        if tr is not None:
-            tr.add(("earr", side, v, (at * 8) >> 6))
         if deg == self.th1:
             # Crossed TH1: attach the hash table (array already sized).
             self._build_table(st, v, base, deg + 1)
         return True
-
-    def _track_scan(self, tr: set, side: int, v: int, deg: int) -> None:
-        for line in range((deg * self._ew * 8 + 63) >> 6):
-            tr.add(("earr", side, v, line))
 
     def delete_half(self, v: int, nbr: int, side: int = OUT) -> bool:
         """Delete nbr from v's table for one direction; True if it was there.
@@ -268,10 +254,6 @@ class TangoStore(GraphStore):
             return False
         th0 = self.th0
         ew = self._ew
-        tr = self.tracker
-        if tr is not None:
-            tr.clear()
-            tr.add(("meta", side, v))
         last = deg - 1
         if deg <= th0:
             # Type1: compact within the meta record
@@ -290,8 +272,6 @@ class TangoStore(GraphStore):
         if deg <= self.th1:
             # Type2
             tbl = None
-            if tr is not None:
-                self._track_scan(tr, side, v, deg)
             if deg <= SCAN_LIMIT:
                 dsts = view[:deg * ew:ew].tolist()
                 if nbr not in dsts:
@@ -317,9 +297,6 @@ class TangoStore(GraphStore):
                 view[j * ew + 1] = view.item(last * ew + 1)
             if tbl is not None:
                 tbl.insert(moved, j)
-                if tr is not None:
-                    tr.add(("earr", side, v, (j * ew * 8) >> 6))
-                    tr.add(("earr", side, v, (last * ew * 8) >> 6))
         if tbl is not None:
             tbl.remove_at(slot, dist)
         mv[base] = last
@@ -470,19 +447,6 @@ class TangoStore(GraphStore):
 
     def probe_stats(self) -> dict:
         return self.stats.snapshot()
-
-    def enable_line_tracking(self) -> set:
-        """Turn on per-operation cache-line touch tracking (test builds).
-
-        Each insert_half/delete_half clears and refills the returned set with
-        ("meta"|"earr"|"hash", ...) logical line ids it touched.
-        """
-        self.tracker = set()
-        for st in self._sides:
-            for tbl in st.tables:
-                if tbl is not None:
-                    tbl.tracker = self.tracker
-        return self.tracker
 
     # -- invariant checking (tests) ----------------------------------------------
 

@@ -524,19 +524,17 @@ def test_routing_and_pools_share_one_owner_map(monkeypatch):
 # -- reports -----------------------------------------------------------------
 
 
-def run_small(tmp_path, report_format):
+def run_small(tmp_path):
     el = shuffle(gen_synthetic("short", 60, 300, seed=8, weighted=True), 8)
     reports, summary = run_experiment(el, "tango", algorithms=("bfs", "sssp"),
                                       batch_size=100)
-    path = tmp_path / f"r.{report_format}"
-    emit_report(reports, summary, path, report_format=report_format,
-                extra_meta={"dataset": el.source_name})
+    path = tmp_path / "r.csv"
+    emit_report(reports, summary, path, extra_meta={"dataset": el.source_name})
     return reports, summary, path
 
 
-@pytest.mark.parametrize("report_format", ["csv", "tsv"])
-def test_report_roundtrips_exactly(tmp_path, report_format):
-    reports, summary, path = run_small(tmp_path, report_format)
+def test_report_roundtrips_exactly(tmp_path):
+    reports, summary, path = run_small(tmp_path)
     comments, header, rows = parse_report(path)
     assert len(rows) == len(reports) + 1
     assert rows[-1]["batch"] == "summary"
@@ -692,10 +690,10 @@ def test_cli_file_input_weighted_sssp(tmp_path, capsys):
 
 
 def test_cli_sweep(tmp_path, capsys):
-    path = tmp_path / "sweep.tsv"
+    path = tmp_path / "sweep.csv"
     rc = main(["--synthetic", "heavy", "--vertices", "60", "--edges", "360",
                "--sweep-th1", "--algorithms", "", "--batch-size", "120",
-               "--report", str(path), "--report-format", "tsv"])
+               "--report", str(path)])
     assert rc == 0
     assert "th1=8" in capsys.readouterr().out
     _, header, rows = parse_report(path)
@@ -713,6 +711,10 @@ def test_cli_th1_flag_and_no_config_file(tmp_path, capsys):
         main(argv + ["--config", str(cfgf)])
     assert ei.value.code == 2
     assert "--config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as ei:  # reports are CSV only
+        main(argv + ["--report-format", "tsv"])
+    assert ei.value.code == 2
+    assert "--report-format" in capsys.readouterr().err
 
 
 def test_cli_weight_beyond_int64_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from graphtango import store as store_mod
 from graphtango.cfhash import CfhTable
-from graphtango.core import MAX_VERTICES, Config, VertexRangeError
+from graphtango.core import LINE_WORDS, MAX_VERTICES, Config, VertexRangeError
 from graphtango.store import IN, OUT, TYPE1, TYPE2, TYPE3, TangoStore
 
 
@@ -16,6 +16,15 @@ def make_store(V=200, num_threads=1, **cfg):
 
 def pool_bytes(store):
     return sum(p.stats()["bytes_in_use"] for p in store.pools)
+
+
+def probe_delta(store, op, *args):
+    """op's return value and the probe distances it added, by kind."""
+    before = store.probe_stats()
+    ret = op(*args)
+    after = store.probe_stats()
+    return ret, {kind: {d: c - before[kind].get(d, 0) for d, c in after[kind].items()
+                        if c != before[kind].get(d, 0)} for kind in after}
 
 
 # -- layout transitions -------------------------------------------------------
@@ -351,20 +360,23 @@ def test_line_touches_of_type3_insert():
     v = 9
     for k in range(40):
         store.insert_half(v, 100 + k)
-    tr = store.enable_line_tracking()
     sizes = []
     for k in range(200):
-        store.insert_half(v, 2000 + k)
+        _, walks = probe_delta(store, store.insert_half, v, 2000 + k)
         deg = store.degree(v)
         cap = int(store._sides[OUT].meta.item(v * 8 + 1))
         if deg != cap // 2 + 1:  # skip the op that resized
-            sizes.append(len(tr))
+            (d, n), = walks["insert"].items()
+            assert n == 1
+            # the meta line, the edge line appended to, and the hash lines of
+            # a walk of d slots, which reads a line's slots in order
+            sizes.append(2 + (d - 1) // LINE_WORDS + 1)
     # steady-state Type3 insert: the meta line, one hash line, one edge line
     assert statistics.median(sizes) == 3
     assert max(sizes) <= 5
-    tr.clear()
-    assert store.has_edge(v, 2005)
-    assert all(kind == "hash" for kind, *_ in tr)
+    found, walks = probe_delta(store, store.has_edge, v, 2005)
+    assert found and walks["insert"] == {}
+    assert sum(walks["find"].values()) == 1
 
 
 def test_probe_stats_exposed():
@@ -401,12 +413,8 @@ def test_type3_updates_log_one_walk_per_key(monkeypatch):
 
     def delta(op, *args):
         walks.clear()
-        before = store.probe_stats()
-        ret = op(v, *args)
-        after = store.probe_stats()
-        return ret, list(walks), {
-            kind: {d: c - before[kind].get(d, 0) for d, c in after[kind].items()
-                   if c != before[kind].get(d, 0)} for kind in after}
+        ret, hist = probe_delta(store, op, v, *args)
+        return ret, list(walks), hist
 
     ret, w, hist = delta(store.insert_half, 500)
     assert ret is True and len(w) == 1
