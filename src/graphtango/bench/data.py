@@ -3,7 +3,8 @@
 Everything downstream (the harness, the CLI) consumes :class:`EdgeList`,
 which keeps endpoints as dense vertex ids in ``[0, num_vertices)``.  Files
 with sparse or non-contiguous ids are remapped on load, first-seen order,
-and the reverse table is kept so reports can refer to the original ids.
+and the reverse table is kept in ``EdgeList.remap`` alone: no report field
+carries the original ids.
 """
 
 from __future__ import annotations

@@ -194,15 +194,26 @@ class CfhTable:
         """
         y = (key * HASH_CONSTANT_64) & _MASK64
         h3 = y >> self._shift3
-        h4 = (y >> self._shift4) | 1
         words = self._wmv
         n = self.n_slots
         mask_n = n - 1
-        mask_m = self.m_lines - 1
         log_n = self._log_n
+        # Most walks end at probe 1, offset key mod N of line h3 (< M, so no
+        # line mask), and nearly all the rest on that line: probe 1 is tested
+        # before the loop is set up, and the line stride is worked out only
+        # when a walk leaves line 0. A tombstone at probe 1 falls through to
+        # the loop, which reads it again and keeps it as the free slot.
+        base = h3 << log_n
+        slot = base | (key & mask_n)
+        w = words[slot]
+        hit = w >> 32 == key and w < TOMBSTONE_KEY
+        if hit or w == EMPTY_KEY:
+            if hist is not None:
+                hist[1] = hist.get(1, 0) + 1
+            return slot, hit, 1
         free = -1
-        for line in range(self.m_lines):
-            base = ((h3 + line * h4) & mask_m) << log_n
+        line = 0
+        while True:
             for x in range(n):
                 slot = base | ((key + x) & mask_n)
                 w = words[slot]
@@ -218,6 +229,11 @@ class CfhTable:
                     return (slot if free < 0 else free), False, dist
                 if free < 0 and w == TOMBSTONE_KEY:
                     free = slot
+            line += 1
+            if line == self.m_lines:
+                break
+            h4 = (y >> self._shift4) | 1
+            base = ((h3 + line * h4) & (self.m_lines - 1)) << log_n
         dist = self.capacity_slots
         if hist is not None:
             hist[dist] = hist.get(dist, 0) + 1

@@ -1,6 +1,9 @@
+import doctest
+
 import numpy as np
 import pytest
 
+from graphtango import core, mempool
 from graphtango.core import (
     CACHE_LINE_BYTES,
     Config,
@@ -21,6 +24,14 @@ def test_next_pow2():
     assert next_pow2(1 << 20) == 1 << 20
     with pytest.raises(ValueError):
         next_pow2(0)
+
+
+def test_module_doctests_pass():
+    # pytest collects only tests/ and perfbench/, so the examples in
+    # core.next_pow2 and mempool.size_class run here.
+    for module in (core, mempool):
+        result = doctest.testmod(module)
+        assert (result.failed, result.attempted) == (0, 2), module.__name__
 
 
 def test_th0_values():
