@@ -12,11 +12,19 @@ only in how concurrent updates are coordinated:
 
 Lookups are linear scans whatever the degree; that, plus the never-shrinking
 capacity, is exactly what the hybrid layout is trying to beat.
+
+Each edge array is an array.array of 'Q' words, one buffer object per
+allocation or growth. Its scalar reads and writes, strided scan slices and
+.tolist() cost what the hybrid store's memoryview edge arrays cost (a
+scalar touch about half of numpy's), so a comparison of the two measures
+their layouts rather than their access primitives. numpy comes in only where it vectorises:
+scans past SCAN_LIMIT, the read-only neighbors() views and the csr() export.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 
 import numpy as np
 
@@ -53,6 +61,7 @@ class AdListBase(GraphStore):
         self.weighted = config.weighted
         self.directed = config.directed
         self._ew = 2 if config.weighted else 1
+        self._first = array("Q", bytes(8 * _INITIAL_CAP * self._ew))  # copied per vertex
         self._sides = [_AdjSide(num_vertices)]
         if config.directed:
             self._sides.append(_AdjSide(num_vertices))
@@ -75,21 +84,20 @@ class AdListBase(GraphStore):
                 dsts = arr[:deg * ew:ew].tolist()
                 j = dsts.index(nbr) if nbr in dsts else -1
             else:
-                hit = (arr[:deg * ew:ew] == nbr).nonzero()[0]
+                hit = (np.frombuffer(arr, dtype=np.uint64)[:deg * ew:ew] == nbr).nonzero()[0]
                 j = int(hit[0]) if hit.size else -1
             if j >= 0:
                 if ew == 2:
                     arr[2 * j + 1] = prop
                 return False
         if arr is None:
-            arr = np.empty(_INITIAL_CAP * ew, dtype=np.uint64)
-            st.arrs[v] = arr
-            st.caps[v] = _INITIAL_CAP * ew
+            st.arrs[v] = arr = self._first[:]
+            st.caps[v] = len(arr)
         elif deg * ew == len(arr):
-            grown = np.empty(len(arr) * 2, dtype=np.uint64)
-            grown[:deg * ew] = arr
-            st.arrs[v] = arr = grown
-            st.caps[v] = len(grown)
+            # One copy makes the doubled array; the repeated upper half is
+            # never read before appends overwrite it.
+            st.arrs[v] = arr = arr * 2
+            st.caps[v] = len(arr)
         at = deg * ew
         arr[at] = nbr
         if ew == 2:
@@ -112,15 +120,15 @@ class AdListBase(GraphStore):
                 return False
             j = dsts.index(nbr)
         else:
-            hit = (arr[:deg * ew:ew] == nbr).nonzero()[0]
+            hit = (np.frombuffer(arr, dtype=np.uint64)[:deg * ew:ew] == nbr).nonzero()[0]
             if not hit.size:
                 return False
             j = int(hit[0])
         last = deg - 1
         if j != last:
-            arr[j * ew] = arr.item(last * ew)
+            arr[j * ew] = arr[last * ew]
             if ew == 2:
-                arr[j * ew + 1] = arr.item(last * ew + 1)
+                arr[j * ew + 1] = arr[last * ew + 1]
         st.degs[v] = last
         return True
 
@@ -140,7 +148,7 @@ class AdListBase(GraphStore):
         deg = st.degs[v]
         if deg == 0:
             return _EMPTY
-        out = st.arrs[v][word:deg * self._ew:self._ew]
+        out = np.frombuffer(st.arrs[v], dtype=np.uint64)[word:deg * self._ew:self._ew]
         out.flags.writeable = False
         return out
 
@@ -158,8 +166,11 @@ class AdListBase(GraphStore):
         deg = np.asarray(st.degs, dtype=np.int64)
         indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
-        live = [a[:d * ew] for a, d in zip(st.arrs, st.degs) if d]
-        words = np.concatenate([_EMPTY] + live)
+        live = array("Q")
+        for a, d in zip(st.arrs, st.degs):
+            if d:
+                live += a[:d * ew]
+        words = np.frombuffer(live, dtype=np.uint64)
         weights = words[1::2].astype(np.float64) if with_weights else None
         return indptr, words[::ew].astype(np.int64), weights
 

@@ -1,10 +1,13 @@
 """Power-of-two free-list memory pool over page-aligned blocks.
 
 The pool hands out chunks of 2**k bytes (k in [3, 48]) carved from large
-page-aligned blocks. Free chunks of each class form an intrusive LIFO list:
+page-aligned blocks. Freed chunks of each class form an intrusive LIFO list:
 the first 8 bytes of a free chunk hold the virtual address of the next free
 chunk, so the pool itself keeps no per-chunk headers and both allocate and
-free are a couple of loads and stores.
+free are a couple of loads and stores. When that list is empty, a bump
+pointer hands out the class's never-used chunks from the front of its newest
+block in ascending order, so a fresh block's pages stay untouched (and
+unfaulted) until its chunks are first used.
 
 Chunk handles are integers in a per-pool virtual address space: block b
 (1-based) covers [b << 48, b << 48 | block_size). Address 0 is the null
@@ -68,8 +71,9 @@ def alloc_aligned(size: int, alignment: int = PAGE_BYTES) -> np.ndarray:
 
 
 class _Block:
-    # mv aliases the same buffer as u64; free-list link words go through it
-    # because a memoryview scalar is about half the cost of a numpy one.
+    # mv aliases the same buffer as u64; free-list link words and the views
+    # allocate_words hands out go through it because a memoryview scalar is
+    # about half the cost of a numpy one.
     __slots__ = ("bytes8", "u64", "mv", "shadow", "klass")
 
     def __init__(self, size: int, klass: int, debug: bool):
@@ -83,9 +87,10 @@ class _Block:
 class MemoryPool:
     """Free-list allocator for one worker thread.
 
-    allocate() rounds the request up to a power of two, pops the head of
-    that class's free list, and carves a fresh block of
-    max(block_bytes, chunk_size) when the list is empty. deallocate() takes
+    allocate() rounds the request up to a power of two and pops the head of
+    that class's free list. When the list is empty it takes the next
+    never-used chunk of the class's newest block, and carves a fresh block
+    of max(block_bytes, chunk_size) when there is none. deallocate() takes
     the original request size back and pushes the chunk, so a matching size
     on free is part of the contract (debug mode verifies it). Blocks are
     only released when the pool is closed or garbage collected.
@@ -99,6 +104,10 @@ class MemoryPool:
         self.bytes_in_use = 0
         self.bytes_reserved = 0
         self._free_heads = [NULL] * (MAX_CLASS + 1)
+        # Per class: the next never-used chunk of its newest block, and that
+        # block's end. Equal (NULL at first) when the class has none left.
+        self._fresh = [NULL] * (MAX_CLASS + 1)
+        self._fresh_end = [NULL] * (MAX_CLASS + 1)
         self._blocks: list[_Block] = []
         self._live: dict[int, int] = {}  # addr -> class, debug only
         self._owner: int | None = None
@@ -109,20 +118,19 @@ class MemoryPool:
     def _block_of(self, addr: int) -> _Block:
         return self._blocks[(addr >> _ADDR_SHIFT) - 1]
 
-    def _carve(self, k: int) -> None:
+    def _carve(self, k: int) -> int:
+        """Add a block for class k and return its first chunk's address.
+
+        Nothing is written to the block: its chunks are handed out by the
+        bump pointer, so its pages are first touched by their first user.
+        """
         csize = 1 << k
         bsize = csize if csize > self.block_bytes else self.block_bytes
-        block = _Block(bsize, k, self.debug)
-        self._blocks.append(block)
+        self._blocks.append(_Block(bsize, k, self.debug))
         base = len(self._blocks) << _ADDR_SHIFT
-        n = bsize >> k
-        # Chain the fresh chunks through their first words, last -> old head.
-        words = np.arange(0, n << (k - 3), 1 << (k - 3), dtype=np.int64)
-        addrs = np.uint64(base) + np.arange(n, dtype=np.uint64) * np.uint64(csize)
-        block.u64[words[:-1]] = addrs[1:]
-        block.u64[words[-1]] = self._free_heads[k]
-        self._free_heads[k] = base
+        self._fresh_end[k] = base + bsize
         self.bytes_reserved += bsize
+        return base
 
     def _check_thread(self) -> None:
         ident = threading.get_ident()
@@ -147,17 +155,28 @@ class MemoryPool:
             raise ValueError(f"allocation of {size} B exceeds max chunk 2**{MAX_CLASS}")
         heads = self._free_heads
         addr = heads[k]
-        if addr == NULL:
-            self._carve(k)
-            addr = heads[k]
-        block = self._blocks[(addr >> _ADDR_SHIFT) - 1]
-        word = (addr & _OFF_MASK) >> 3
-        heads[k] = block.mv[word]
+        if addr:
+            block = self._blocks[(addr >> _ADDR_SHIFT) - 1]
+            heads[k] = block.mv[(addr & _OFF_MASK) >> 3]
+        else:
+            fresh = self._fresh
+            addr = fresh[k]
+            if addr == self._fresh_end[k]:
+                addr = self._carve(k)
+            fresh[k] = addr + (1 << k)
         self.bytes_in_use += 1 << k
         if self.debug:
             self._check_thread()
-            self._debug_alloc(addr, k, block, word)
+            self._debug_alloc(addr, k)
         return addr
+
+    def allocate_words(self, nwords: int) -> tuple[int, memoryview]:
+        """allocate(8 * nwords), returned with a 'Q' memoryview of the chunk's
+        first nwords words: the handle for the owner's records, the view for
+        every later read and write of the words."""
+        addr = self.allocate(nwords << 3)
+        word = (addr & _OFF_MASK) >> 3
+        return addr, self._blocks[(addr >> _ADDR_SHIFT) - 1].mv[word:word + nwords]
 
     def deallocate(self, addr: int, size: int) -> None:
         """Return a chunk to its free list; size must match the allocation."""
@@ -215,9 +234,12 @@ class MemoryPool:
         }
 
     def close(self) -> None:
-        """Drop every block. Outstanding chunk views become dangling."""
+        """Drop every block. A chunk view still held keeps its block's memory
+        alive, but the pool no longer hands that memory out."""
         self._blocks.clear()
         self._free_heads = [NULL] * (MAX_CLASS + 1)
+        self._fresh = [NULL] * (MAX_CLASS + 1)
+        self._fresh_end = [NULL] * (MAX_CLASS + 1)
         self.bytes_in_use = 0
         self.bytes_reserved = 0
         self._live.clear()
@@ -225,7 +247,8 @@ class MemoryPool:
 
     # -- debug shadow allocator ---------------------------------------------
 
-    def _debug_alloc(self, addr: int, k: int, block: _Block, word: int) -> None:
+    def _debug_alloc(self, addr: int, k: int) -> None:
+        block, word = self._block_of(addr), (addr & _OFF_MASK) >> 3
         if block.klass != k:
             raise PoolError(f"chunk of class {k} handed out from a class-{block.klass} block")
         if addr & ((1 << k) - 1) & _OFF_MASK:

@@ -21,6 +21,13 @@ halves it, crossing TH1 builds or drops the hash table, and crossing TH0
 moves edges between the inline record and a pool chunk. The edge array is
 kept packed by moving the last edge into any deleted slot.
 
+Type2/Type3 edge arrays are held as 'Q' memoryview slices of their pool
+block, like the meta lines: lookups, scans, appends and the delete's
+move-last-into-hole are memoryview slices and scalar touches. A scalar
+touch costs about half of numpy's, and a short slice turned into a list
+about a fifth less. numpy comes in only where it vectorises: scans past
+SCAN_LIMIT, the read-only neighbors() views and the csr() export.
+
 Each worker owns the vertices partition_of maps to it and writes one record
 for them: the pool all their chunks come from (so every free goes back to
 the pool that allocated it), their tables' probe histograms, a running count
@@ -63,9 +70,11 @@ class _Partition(MemoryPool):
 class _Side:
     """Adjacency state for one direction: metadata, edge views, hash tables.
 
-    mv aliases the meta buffer word for word; scalar reads and writes go
-    through it because a memoryview touch costs about half a numpy one, and
-    the hot paths are dominated by exactly those touches.
+    mv aliases the meta buffer word for word, and views[v] is a 'Q'
+    memoryview of v's pool chunk (None for Type1). Scalar reads, writes,
+    scan slices and edge copies go through memoryviews because a memoryview
+    touch costs about half a numpy one, and the hot paths are dominated by
+    exactly those touches.
     """
 
     __slots__ = ("meta", "mv", "views", "tables")
@@ -110,7 +119,7 @@ class TangoStore(GraphStore):
     # -- helpers -------------------------------------------------------------
 
     def _move_edges(self, side: _Side, v: int, base: int, deg: int,
-                    cap: int) -> np.ndarray | None:
+                    cap: int) -> memoryview | None:
         """Move v's deg edges to a fresh chunk of cap edges and return its view,
         or move them inline (cap 0, returns None). Every grow, shrink and TH0
         crossing comes here: allocate from the owner's pool, copy, free the
@@ -118,14 +127,14 @@ class TangoStore(GraphStore):
         part = self.pools[partition_of(v, self.num_threads)]
         old = side.views[v]
         n = deg * self._ew
-        inline = side.meta[base + 1:base + 1 + n]
-        chunk = side.mv[base + _EDGES]  # read first: moving inline overwrites it
+        mv = side.mv
+        inline = mv[base + 1:base + 1 + n]
+        chunk = mv[base + _EDGES]  # read first: moving inline overwrites it
         if cap:
-            new = part.allocate(cap * self._ew * 8)
-            view = part.u64_view(new, cap * self._ew)
+            new, view = part.allocate_words(cap * self._ew)
             view[:n] = inline if old is None else old[:n]
-            side.mv[base + _CAP] = cap
-            side.mv[base + _EDGES] = new
+            mv[base + _CAP] = cap
+            mv[base + _EDGES] = new
         else:
             view = None
             inline[:] = old[:n]
@@ -137,17 +146,16 @@ class TangoStore(GraphStore):
 
     def _build_table(self, side: _Side, v: int, base: int, deg: int) -> None:
         """Attach a dst -> index hash at 2 x cap slots covering deg edges."""
-        mf = side.meta
-        cap = mf.item(base + _CAP)
+        mv = side.mv
         part = self.pools[partition_of(v, self.num_threads)]
-        tbl = CfhTable(2 * cap, pool=part, slots_per_line=LINE_WORDS, stats=part.probe)
-        view = side.views[v]
-        step = self._ew
-        tbl.bulk_load((view.item(j * step), j) for j in range(deg))
+        tbl = CfhTable(2 * mv[base + _CAP], pool=part, slots_per_line=LINE_WORDS,
+                       stats=part.probe)
+        ew = self._ew
+        tbl.bulk_load(zip(side.views[v][:deg * ew:ew].tolist(), range(deg)))
         side.tables[v] = tbl
         part.hash_bytes += tbl.chunk_bytes
-        mf[base + _HASH] = tbl._chunk
-        mf[base + _HASHCAP] = tbl.capacity_slots
+        mv[base + _HASH] = tbl._chunk
+        mv[base + _HASHCAP] = tbl.capacity_slots
 
     def _resize_table(self, mv, base: int, tbl: CfhTable, slots: int) -> None:
         """Rebuild a table at slots and point the meta record at it."""
@@ -201,7 +209,7 @@ class TangoStore(GraphStore):
                 dsts = view[:deg * ew:ew].tolist()
                 j = dsts.index(nbr) if nbr in dsts else -1
             else:
-                hit = (view[:deg * ew:ew] == nbr).nonzero()[0]
+                hit = (np.frombuffer(view, dtype=np.uint64)[:deg * ew:ew] == nbr).nonzero()[0]
                 j = int(hit[0]) if hit.size else -1
             if j >= 0:
                 if ew == 2:
@@ -278,7 +286,7 @@ class TangoStore(GraphStore):
                     return False
                 j = dsts.index(nbr)
             else:
-                hit = (view[:deg * ew:ew] == nbr).nonzero()[0]
+                hit = (np.frombuffer(view, dtype=np.uint64)[:deg * ew:ew] == nbr).nonzero()[0]
                 if not hit.size:
                     return False
                 j = int(hit[0])
@@ -291,10 +299,10 @@ class TangoStore(GraphStore):
                 return False
         # Move the last edge into the hole.
         if j != last:
-            moved = view.item(last * ew)
+            moved = view[last * ew]
             view[j * ew] = moved
             if ew == 2:
-                view[j * ew + 1] = view.item(last * ew + 1)
+                view[j * ew + 1] = view[last * ew + 1]
             if tbl is not None:
                 tbl.insert(moved, j)
         if tbl is not None:
@@ -320,7 +328,7 @@ class TangoStore(GraphStore):
 
     def degree(self, v: int, side: int = OUT) -> int:
         self._check_vertex(v)
-        return self._sides[side].meta.item(v * LINE_WORDS)
+        return self._sides[side].mv[v * LINE_WORDS]
 
     def degree_array(self, side: int = OUT) -> np.ndarray:
         """Degrees of all vertices as one array (a copy)."""
@@ -337,12 +345,12 @@ class TangoStore(GraphStore):
         self._check_vertex(v)
         st = self._sides[side]
         base = v * LINE_WORDS
-        deg = st.meta.item(base)
+        deg = st.mv[base]
         ew = self._ew
         if deg <= self.th0:
             out = st.meta[base + 1 + word:base + 1 + deg * ew:ew]
         else:
-            out = st.views[v][word:deg * ew:ew]
+            out = np.frombuffer(st.views[v], dtype=np.uint64)[word:deg * ew:ew]
         out.flags.writeable = False
         return out
 
@@ -415,7 +423,7 @@ class TangoStore(GraphStore):
     def has_edge(self, src: int, dst: int) -> bool:
         self._check_vertex(src)
         st = self._sides[OUT]
-        deg = st.meta.item(src * LINE_WORDS)
+        deg = st.mv[src * LINE_WORDS]
         if deg > self.th1:
             return st.tables[src].find(dst) is not None
         return bool(np.any(self.neighbors(src) == dst))
@@ -487,5 +495,5 @@ class TangoStore(GraphStore):
         assert mf.item(base + _HASHCAP) == tbl.capacity_slots
         if deep:
             for j in range(deg):
-                key = view.item(j * ew)
+                key = view[j * ew]
                 assert tbl.find(key) == j, f"v{v}: hash points {key} -> {tbl.find(key)} != {j}"

@@ -154,6 +154,30 @@ def test_fresh_chunks_are_distinct_until_freed():
     pool.close()
 
 
+def test_address_sequence_across_two_blocks():
+    # Freed chunks come back first (LIFO), then never-used ones in ascending
+    # order, and a second block is carved only when both run out. Carving
+    # writes nothing, so a fresh block's pages stay untouched.
+    pool = MemoryPool(block_bytes=PAGE_BYTES, debug=True)
+    per_block = PAGE_BYTES // 64
+    b1, b2 = 1 << 48, 2 << 48
+    got = [pool.allocate(64) for _ in range(10)]
+    assert got == [b1 + 64 * i for i in range(10)]
+    assert not pool._blocks[0].u64[80:].any()
+    for a in (got[3], got[7], got[5]):
+        pool.deallocate(a, 64)
+    got = [pool.allocate(64) for _ in range(per_block - 7 + 2)]
+    assert got[:3] == [b1 + 64 * 5, b1 + 64 * 7, b1 + 64 * 3]
+    assert got[3:-2] == [b1 + 64 * i for i in range(10, per_block)]
+    assert got[-2:] == [b2, b2 + 64]
+    assert pool.stats()["num_blocks"] == 2
+    assert not pool._blocks[1].u64.any()
+    pool.deallocate(got[-1], 64)
+    pool.deallocate(b1 + 64 * 20, 64)
+    assert [pool.allocate(64) for _ in range(3)] == [b1 + 64 * 20, b2 + 64, b2 + 128]
+    pool.close()
+
+
 def test_double_free_caught():
     pool = MemoryPool(debug=True)
     a = pool.allocate(64)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphtango import store as store_mod
+from graphtango.baseline import AdListChunked, AdListShared
 from graphtango.cfhash import CfhTable
 from graphtango.core import LINE_WORDS, MAX_VERTICES, Config, VertexRangeError
 from graphtango.store import IN, OUT, TYPE1, TYPE2, TYPE3, TangoStore
@@ -213,16 +214,26 @@ def test_delete_moves_last_edge_into_hole():
 
 
 def test_neighbors_view_is_readonly():
-    store = make_store()
-    store.insert_edge(0, 1)
-    view = store.neighbors(0)
-    with pytest.raises(ValueError):
-        view[0] = 99
-    for k in range(50):
-        store.insert_half(5, 100 + k)
-    view = store.neighbors(5)
-    with pytest.raises(ValueError):
-        view[0] = 99
+    # Type1, Type2 (degree 8-32) and Type3 vertices, unweighted and weighted,
+    # in the hybrid store and both adjacency lists: each view reads the live
+    # edges as plain uint64 and refuses writes.
+    for cls in (TangoStore, AdListChunked, AdListShared):
+        for weighted in (False, True):
+            store = cls(Config(weighted=weighted), 200)
+            for v, deg, kind in ((0, 1, TYPE1), (1, 20, TYPE2), (5, 50, TYPE3)):
+                for k in range(deg):
+                    store.insert_half(v, 100 + k, 7 * k if weighted else 0)
+                if cls is TangoStore:
+                    assert store.vertex_kind(v) == kind
+                views = [store.neighbors(v)]
+                if weighted:
+                    views.append(store.neighbor_props(v))
+                for view, want in zip(views, ([100 + k for k in range(deg)],
+                                              [7 * k for k in range(deg)])):
+                    assert view.dtype == np.uint64 and view.tolist() == want
+                    with pytest.raises(ValueError):
+                        view[0] = 99
+                    assert view[0] == want[0]
 
 
 def test_undirected_mirror():
