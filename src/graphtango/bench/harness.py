@@ -26,7 +26,8 @@ from time import perf_counter
 
 import numpy as np
 
-from ..analytics import KERNELS, build_snapshot, run_bfs, run_cc, run_pr, run_sssp
+from ..analytics import (_PR_DAMPING, _PR_MAX_ITERS, _PR_TOL, KERNELS, build_snapshot,
+                         run_bfs, run_cc, run_pr, run_sssp)
 from ..baseline import AdListChunked, AdListShared
 from ..core import Config, partition_of
 from ..store import TangoStore
@@ -472,10 +473,11 @@ SWEEP_COLUMNS = (
     "insert_mean_bytes_per_edge", "peak_memory_bytes",
 )
 
-# Stated in every report header so numbers are interpretable on their own.
+# Stated in every report header so numbers are interpretable on their own;
+# built from run_pr's defaults so the header states what the kernel runs.
 PR_FORMULA_NOTE = (
     "pagerank: rank(v) = (1-d)/|V| + d*sum_{u->v} rank(u)/outdeg(u), "
-    "d=0.85, L1 step tolerance 1e-07, max 100 iterations; "
+    f"d={_PR_DAMPING}, L1 step tolerance {_PR_TOL}, max {_PR_MAX_ITERS} iterations; "
     "sink rank is not redistributed"
 )
 

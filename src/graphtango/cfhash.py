@@ -1,9 +1,9 @@
 """Open-addressing hash table whose probe sequence is confined to cache lines.
 
-Slots are grouped into lines of N (8 for 64-byte lines); the probe sequence
-visits all N slots of a line before moving to another line, so a lookup that
-terminates within N probes touches exactly one line of the key array. Probe
-i for a key lands at
+Slots are grouped into lines of N = LINE_WORDS (8 for the fixed 64-byte
+line); the probe sequence visits all N slots of a line before moving to
+another line, so a lookup that terminates within N probes touches exactly
+one line of the key array. Probe i for a key lands at
 
     slot(key, i) = h1(key, i // N) * N + h2(key, i mod N)
     h1(key, x)   = (h3(key) + x * h4(key)) mod M      line selector
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HASH_CONSTANT_64, CapacityError
+from .core import HASH_CONSTANT_64, LINE_WORDS, CapacityError
 from .mempool import MemoryPool
 
 EMPTY_KEY = 2**64 - 1
@@ -42,6 +42,7 @@ KEY_LIMIT = 2**32 - 1
 VALUE_LIMIT = 2**32
 _MASK32 = 2**32 - 1
 SLOT_BYTES = 8
+_LOG_LINE = LINE_WORDS.bit_length() - 1  # log2 of the slots per line
 
 
 def _check_pow2(name: str, value: int) -> int:
@@ -144,31 +145,31 @@ class CfhTable:
     """Line-confined double-hashing table mapping 32-bit keys to 32-bit values.
 
     The slots live in a single pool chunk, one packed key << 32 | value word
-    each. capacity_slots must be a power of two and a multiple of
-    slots_per_line; the caller's load contract is live_count <= capacity/2.
+    each, LINE_WORDS to a line. capacity_slots must be a power of two and at
+    least one line; the caller's load contract is live_count <= capacity/2.
     """
 
-    __slots__ = ("pool", "capacity_slots", "m_lines", "n_slots", "live_count",
-                 "tombstone_count", "stats", "_own_pool", "_log_n", "_chunk",
+    __slots__ = ("pool", "capacity_slots", "m_lines", "live_count",
+                 "tombstone_count", "stats", "_own_pool", "_chunk",
                  "_words", "_wmv", "_shift3", "_shift4")
 
     def __init__(self, capacity_slots: int, *, pool: MemoryPool | None = None,
-                 slots_per_line: int = 8, stats: ProbeStats | None = None):
-        _check_pow2("capacity_slots", capacity_slots)
-        self._log_n = _check_pow2("slots_per_line", slots_per_line)
-        if capacity_slots < slots_per_line:
-            raise ValueError("capacity_slots must hold at least one line")
+                 stats: ProbeStats | None = None):
         self._own_pool = pool is None
         self.pool = MemoryPool() if pool is None else pool
-        self.n_slots = slots_per_line
         self.stats = ProbeStats() if stats is None else stats
         self.live_count = 0
         self.tombstone_count = 0
         self._set_capacity(capacity_slots)
 
     def _set_capacity(self, capacity_slots: int) -> None:
-        m_lines = capacity_slots >> self._log_n
-        log_m = _check_pow2("line count", m_lines)
+        """Check capacity_slots, then allocate and clear a chunk that size.
+        A bad capacity raises ValueError before anything changes."""
+        _check_pow2("capacity_slots", capacity_slots)
+        if capacity_slots < LINE_WORDS:
+            raise ValueError("capacity_slots must hold at least one line")
+        m_lines = capacity_slots >> _LOG_LINE
+        log_m = m_lines.bit_length() - 1
         if 2 * log_m > 64:
             raise ValueError(f"capacity {capacity_slots} needs 2*log2(M) <= 64")
         self.capacity_slots = capacity_slots
@@ -195,9 +196,9 @@ class CfhTable:
         y = (key * HASH_CONSTANT_64) & _MASK64
         h3 = y >> self._shift3
         words = self._wmv
-        n = self.n_slots
+        n = LINE_WORDS
         mask_n = n - 1
-        log_n = self._log_n
+        log_n = _LOG_LINE
         # Most walks end at probe 1, offset key mod N of line h3 (< M, so no
         # line mask), and nearly all the rest on that line: probe 1 is tested
         # before the loop is set up, and the line stride is worked out only
@@ -337,7 +338,8 @@ class CfhTable:
         With the current capacity (the default) the slot chunk is reused in
         place, so the chunk handle stays valid; a different capacity
         allocates a new chunk and frees the old one. new_capacity_slots must
-        be a power of two >= 2 * live_count and at least one line.
+        be a power of two >= 2 * live_count and at least one line; otherwise
+        CapacityError or ValueError is raised and the table is unchanged.
         """
         if new_capacity_slots is None:
             new_capacity_slots = self.capacity_slots

@@ -21,12 +21,14 @@ halves it, crossing TH1 builds or drops the hash table, and crossing TH0
 moves edges between the inline record and a pool chunk. The edge array is
 kept packed by moving the last edge into any deleted slot.
 
-Type2/Type3 edge arrays are held as 'Q' memoryview slices of their pool
-block, like the meta lines: lookups, scans, appends and the delete's
-move-last-into-hole are memoryview slices and scalar touches. A scalar
-touch costs about half of numpy's, and a short slice turned into a list
-about a fifth less. numpy comes in only where it vectorises: scans past
-SCAN_LIMIT, the read-only neighbors() views and the csr() export.
+Every edge array is a 'Q' memoryview: for Type1 the slice of the meta line
+after the degree word, for Type2/Type3 the slice of its pool block. So one
+scan, property overwrite, append and move-last-into-hole serve Type1 and
+Type2 alike, as memoryview slices and scalar touches; Type3 swaps the scan
+for its hash lookup. A scalar touch costs about half of numpy's, and a
+short slice turned into a list about a fifth less. numpy comes in only
+where it vectorises: scans past SCAN_LIMIT, the read-only neighbors()
+views and the csr() export.
 
 Each worker owns the vertices partition_of maps to it and writes one record
 for them: the pool all their chunks come from (so every free goes back to
@@ -42,7 +44,7 @@ import numpy as np
 from .cfhash import CfhTable, ProbeStats
 from .core import IN, OUT  # re-exported: callers import the directions from here
 from .core import (BLOCK_BYTES, CACHE_LINE_BYTES, LINE_WORDS, MAX_VERTICES, SCAN_LIMIT,
-                   Config, GraphStore, VertexRangeError, next_pow2, partition_of)
+                   Config, GraphStore, VertexRangeError, partition_of)
 from .mempool import MemoryPool, alloc_aligned
 
 TYPE1 = 1
@@ -71,7 +73,9 @@ class _Side:
     """Adjacency state for one direction: metadata, edge views, hash tables.
 
     mv aliases the meta buffer word for word, and views[v] is a 'Q'
-    memoryview of v's pool chunk (None for Type1). Scalar reads, writes,
+    memoryview of v's pool chunk (None for Type1, whose edge view is the
+    slice of mv after v's degree word, taken per op). Both kinds of view
+    go through the same scan, append and delete code. Scalar reads, writes,
     scan slices and edge copies go through memoryviews because a memoryview
     touch costs about half a numpy one, and the hot paths are dominated by
     exactly those touches.
@@ -112,34 +116,32 @@ class TangoStore(GraphStore):
         self.weighted = config.weighted
         self.directed = config.directed
         self._ew = 2 if config.weighted else 1  # words per edge
-        self._min_cap = next_pow2(self.th0)
         self.pools = [_Partition(debug) for _ in range(num_threads)]
         self._sides = [_Side(num_vertices) for _ in range(2 if config.directed else 1)]
 
     # -- helpers -------------------------------------------------------------
 
-    def _move_edges(self, side: _Side, v: int, base: int, deg: int,
+    def _move_edges(self, side: _Side, v: int, base: int, deg: int, src: memoryview,
                     cap: int) -> memoryview | None:
-        """Move v's deg edges to a fresh chunk of cap edges and return its view,
-        or move them inline (cap 0, returns None). Every grow, shrink and TH0
-        crossing comes here: allocate from the owner's pool, copy, free the
-        chunk the edges left, point the meta record, count the copies."""
+        """Move the first deg edges of src, v's current edge view, to a fresh
+        chunk of cap edges and return its view, or into v's line (cap 0,
+        returns None). Every grow, shrink and TH0 crossing comes here:
+        allocate from the owner's pool, copy, free the chunk the edges left,
+        point the meta record, count the copies."""
         part = self.pools[partition_of(v, self.num_threads)]
-        old = side.views[v]
         n = deg * self._ew
         mv = side.mv
-        inline = mv[base + 1:base + 1 + n]
-        chunk = mv[base + _EDGES]  # read first: moving inline overwrites it
+        chunk = mv[base + _EDGES]  # read first: either move overwrites it
         if cap:
             new, view = part.allocate_words(cap * self._ew)
-            view[:n] = inline if old is None else old[:n]
+            view[:n] = src[:n]
             mv[base + _CAP] = cap
             mv[base + _EDGES] = new
         else:
             view = None
-            inline[:] = old[:n]
-        if old is not None:
-            part.deallocate(chunk, len(old) * 8)
+            mv[base + 1:base + 1 + n] = src[:n]
+        if side.views[v] is not None:
+            part.deallocate(chunk, len(src) * 8)
         side.views[v] = view
         part.copies += deg
         return view
@@ -148,8 +150,7 @@ class TangoStore(GraphStore):
         """Attach a dst -> index hash at 2 x cap slots covering deg edges."""
         mv = side.mv
         part = self.pools[partition_of(v, self.num_threads)]
-        tbl = CfhTable(2 * mv[base + _CAP], pool=part, slots_per_line=LINE_WORDS,
-                       stats=part.probe)
+        tbl = CfhTable(2 * mv[base + _CAP], pool=part, stats=part.probe)
         ew = self._ew
         tbl.bulk_load(zip(side.views[v][:deg * ew:ew].tolist(), range(deg)))
         side.tables[v] = tbl
@@ -169,8 +170,10 @@ class TangoStore(GraphStore):
     # -- single-direction operations ------------------------------------------
     #
     # An edge is ew words, dst then (weighted) its property, so the dsts of
-    # deg edges are the strided slice words[:deg * ew:ew]. Every membership
-    # scan reads that slice: as a list up to SCAN_LIMIT, as numpy beyond.
+    # deg edges are the strided slice view[:deg * ew:ew] of the edge view:
+    # the line after the degree word (Type1) or the pool chunk. The one
+    # membership scan reads that slice: as a list up to SCAN_LIMIT, as
+    # numpy beyond; Type3 looks nbr up in its hash instead.
 
     def insert_half(self, v: int, nbr: int, prop: int = 0, side: int = OUT) -> bool:
         """Insert nbr into v's table for one direction.
@@ -184,57 +187,38 @@ class TangoStore(GraphStore):
         mv = st.mv
         base = v * LINE_WORDS
         deg = mv[base]
-        th0 = self.th0
         ew = self._ew
-        if deg <= th0:
-            # Type1: edges inline in the meta record
-            off = base + 1
-            dsts = mv[off:off + deg * ew:ew].tolist()
-            if nbr in dsts:
-                if ew == 2:
-                    mv[off + 2 * dsts.index(nbr) + 1] = prop
-                return False
-            if deg < th0:
-                mv[off + deg * ew] = nbr
-                if ew == 2:
-                    mv[off + deg * ew + 1] = prop
-                mv[base] = deg + 1
-                return True
-            # Type1 -> Type2: move the inline edges out, then append.
-            view = self._move_edges(st, v, base, th0, self._min_cap)
-        elif deg <= self.th1:
-            # Type2: linear scan of the pool-resident array
+        if deg <= self.th0:
+            view = mv[base + 1:base + LINE_WORDS]  # Type1: the line after the degree
+            cap = self.th0
+        else:
             view = st.views[v]
+            cap = mv[base + _CAP]
+        tbl = None
+        if deg <= self.th1:
             if deg <= SCAN_LIMIT:
                 dsts = view[:deg * ew:ew].tolist()
-                j = dsts.index(nbr) if nbr in dsts else -1
+                j = dsts.index(nbr) if nbr in dsts else None
             else:
                 hit = (np.frombuffer(view, dtype=np.uint64)[:deg * ew:ew] == nbr).nonzero()[0]
-                j = int(hit[0]) if hit.size else -1
-            if j >= 0:
-                if ew == 2:
-                    view[2 * j + 1] = prop
-                return False
-            if deg == mv[base + _CAP]:
-                view = self._move_edges(st, v, base, deg, deg * 2)
+                j = int(hit[0]) if hit.size else None
         else:
             # Type3: hash lookup. The walk ends where nbr goes, unless the
             # array is full and the table is rebuilt first.
-            view = st.views[v]
             tbl = st.tables[v]
             slot, j, dist = tbl.locate(nbr)
-            if j is not None:
-                if ew == 2:
-                    view[2 * j + 1] = prop
-                return False
-            cap = mv[base + _CAP]
-            if deg == cap:
-                view = self._move_edges(st, v, base, deg, cap * 2)
+        if j is not None:
+            if ew == 2:
+                view[2 * j + 1] = prop
+            return False
+        if deg == cap:
+            # Full: double a chunk, or move a full line out to 8 (4 weighted).
+            view = self._move_edges(st, v, base, deg, view, 1 << deg.bit_length())
+            if tbl is not None:
                 self._resize_table(mv, base, tbl, 4 * cap)
                 tbl.insert(nbr, deg)
-            else:
-                tbl.put_at(slot, nbr, deg, dist)
-        # Append at index deg of the pool-resident array.
+        elif tbl is not None:
+            tbl.put_at(slot, nbr, deg, dist)
         at = deg * ew
         view[at] = nbr
         if ew == 2:
@@ -263,22 +247,8 @@ class TangoStore(GraphStore):
         th0 = self.th0
         ew = self._ew
         last = deg - 1
-        if deg <= th0:
-            # Type1: compact within the meta record
-            off = base + 1
-            dsts = mv[off:off + deg * ew:ew].tolist()
-            if nbr not in dsts:
-                return False
-            j = dsts.index(nbr)
-            if j != last:
-                mv[off + j * ew] = dsts[last]
-                if ew == 2:
-                    mv[off + j * ew + 1] = mv[off + last * ew + 1]
-            mv[base] = last
-            return True
-        view = st.views[v]
+        view = mv[base + 1:base + LINE_WORDS] if deg <= th0 else st.views[v]
         if deg <= self.th1:
-            # Type2
             tbl = None
             if deg <= SCAN_LIMIT:
                 dsts = view[:deg * ew:ew].tolist()
@@ -308,18 +278,20 @@ class TangoStore(GraphStore):
         if tbl is not None:
             tbl.remove_at(slot, dist)
         mv[base] = last
+        if deg <= th0:
+            return True
         cap = mv[base + _CAP]
         if last == self.th1:
             # Type3 -> Type2: halve the array, drop the hash table.
-            self._move_edges(st, v, base, last, cap >> 1)
+            self._move_edges(st, v, base, last, view, cap >> 1)
             tbl.pool.hash_bytes -= tbl.chunk_bytes
             tbl.release()
             st.tables[v] = None
         elif last == th0:
             # Type2 -> Type1: edges come back inline, chunk is freed.
-            self._move_edges(st, v, base, th0, 0)
+            self._move_edges(st, v, base, th0, view, 0)
         elif last == cap >> 2:
-            self._move_edges(st, v, base, last, cap >> 1)
+            self._move_edges(st, v, base, last, view, cap >> 1)
             if tbl is not None:
                 self._resize_table(mv, base, tbl, cap)  # 2 x the halved capacity
         return True
@@ -346,11 +318,8 @@ class TangoStore(GraphStore):
         st = self._sides[side]
         base = v * LINE_WORDS
         deg = st.mv[base]
-        ew = self._ew
-        if deg <= self.th0:
-            out = st.meta[base + 1 + word:base + 1 + deg * ew:ew]
-        else:
-            out = np.frombuffer(st.views[v], dtype=np.uint64)[word:deg * ew:ew]
+        view = st.mv[base + 1:base + LINE_WORDS] if deg <= self.th0 else st.views[v]
+        out = np.frombuffer(view, dtype=np.uint64)[word:deg * self._ew:self._ew]
         out.flags.writeable = False
         return out
 
@@ -478,7 +447,7 @@ class TangoStore(GraphStore):
             return
         cap = mf.item(base + _CAP)
         assert view is not None, f"v{v}: missing edge array"
-        assert cap >= self._min_cap and cap & (cap - 1) == 0, f"v{v}: bad cap {cap}"
+        assert cap > self.th0 and cap & (cap - 1) == 0, f"v{v}: bad cap {cap}"
         assert deg <= cap, f"v{v}: deg {deg} > cap {cap}"
         assert len(view) == cap * ew, f"v{v}: view length {len(view)} != cap {cap}"
         if deep:

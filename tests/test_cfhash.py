@@ -15,7 +15,7 @@ from graphtango.cfhash import (
     hash_probe,
     probe_sequence,
 )
-from graphtango.core import HASH_CONSTANT_64, CapacityError
+from graphtango.core import HASH_CONSTANT_64, LINE_WORDS, CapacityError
 from graphtango.mempool import MemoryPool
 
 
@@ -234,6 +234,30 @@ def test_rebuild_resizes():
     t.release()
     assert pool.stats()["bytes_in_use"] == 0
     pool.close()
+
+
+def test_rebuild_refuses_a_bad_capacity_and_changes_nothing():
+    # The constructor's checks hold for rebuild too: 12 slots is not a power
+    # of two and 4 is under one line, so both raise before the table changes.
+    # With 4 live keys, 4 slots would also pass load 0.5: that check comes
+    # first. With 2 keys only the line check refuses it.
+    for n_keys, bad, err in ((4, 12, ValueError), (4, 4, CapacityError), (2, 4, ValueError)):
+        pool = MemoryPool(debug=True)
+        t = CfhTable(16, pool=pool)
+        for k in range(n_keys):
+            t.insert(k, k + 100)
+        words = t._words.tolist()
+        with pytest.raises(err):
+            t.rebuild(bad)
+        assert (t.capacity_slots, t.m_lines, t.live_count) == (16, 16 // LINE_WORDS, n_keys)
+        assert t._words.tolist() == words
+        assert all(t.find(k) == k + 100 for k in range(n_keys))
+        assert pool.stats()["bytes_in_use"] == 16 * 8
+        t.release()
+        pool.close()
+    for bad in (12, 4, 0):
+        with pytest.raises(ValueError):
+            CfhTable(bad)
 
 
 def test_bulk_load_matches_inserts():
@@ -467,26 +491,26 @@ def _assert_same(t, o):
 
 
 @settings(max_examples=300, deadline=None)
-# cap=8 with n=8 is a one-line table: every key's walk starts on line 0.
-@given(cap=hs.sampled_from([8, 16, 32, 64]), n=hs.sampled_from([4, 8]), ops=_OPS)
+# cap=8 is a one-line table: every key's walk starts on line 0.
+@given(cap=hs.sampled_from([8, 16, 32, 64]), ops=_OPS)
 # Key 12's path starts at the slots of 4 then 5: it must take 4's tombstone.
-@example(cap=16, n=8, ops=[("insert", 4, 1), ("insert", 5, 2), ("remove", 4),
-                           ("remove", 5), ("insert", 12, 3)])
+@example(cap=16, ops=[("insert", 4, 1), ("insert", 5, 2), ("remove", 4),
+                      ("remove", 5), ("insert", 12, 3)])
 # The same through the slot-level calls, and an append onto a full table.
-@example(cap=16, n=8, ops=[("append", 4, 1), ("append", 5, 2), ("delete", 4),
-                           ("delete", 5), ("append", 12, 3), ("append", 12, 4)]
+@example(cap=16, ops=[("append", 4, 1), ("append", 5, 2), ("delete", 4),
+                      ("delete", 5), ("append", 12, 3), ("append", 12, 4)]
          + [("append", k, k) for k in range(6, 16)])
 # Key 12's first probe is 4's tombstone, so its walk runs past probe 1 and
 # hits 12 at probe 2: locate(12) is (5, 2, 2).
-@example(cap=16, n=8, ops=[("insert", 4, 1), ("insert", 12, 2), ("remove", 4),
-                           ("find", 12), ("append", 12, 3), ("delete", 12)])
-def test_table_matches_straight_line_oracle(cap, n, ops):
+@example(cap=16, ops=[("insert", 4, 1), ("insert", 12, 2), ("remove", 4),
+                      ("find", 12), ("append", 12, 3), ("delete", 12)])
+def test_table_matches_straight_line_oracle(cap, ops):
     pool = MemoryPool(block_bytes=4096)
-    t = CfhTable(cap, pool=pool, slots_per_line=n)
-    o = OracleTable(cap, n)
+    t = CfhTable(cap, pool=pool)
+    o = OracleTable(cap, LINE_WORDS)
     for op, *args in ops:
         if op == "rebuild":
-            args = [max(n, int(t.capacity_slots * args[0]))]
+            args = [max(LINE_WORDS, int(t.capacity_slots * args[0]))]
         outcomes = []
         for call in (lambda: table_call(t, op, args), lambda: getattr(o, op)(*args)):
             try:

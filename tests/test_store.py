@@ -174,13 +174,31 @@ def test_weighted_thresholds():
 # -- single-op semantics ------------------------------------------------------
 
 
-def test_duplicate_insert_updates_property():
-    store = make_store(weighted=True)
-    assert store.insert_edge(1, 2, 10) is True
-    assert store.insert_edge(1, 2, 99) is False
-    assert store.get_edge_prop(1, 2) == 99
-    assert store.get_edge_prop(2, 1) == 99  # undirected mirror updated too
-    assert store.degree(1) == 1
+# One vertex at each layout: (kind, degree, th1). Degree 3 fills a weighted
+# line and sits inside an unweighted one; th1 8 makes degree 40 a Type3.
+LAYOUTS = pytest.mark.parametrize("kind,deg,th1", [(TYPE1, 3, 32), (TYPE2, 20, 32),
+                                                   (TYPE3, 40, 8)], ids=["type1", "type2", "type3"])
+WEIGHTS = pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+
+
+@LAYOUTS
+@WEIGHTS
+def test_duplicate_insert_updates_property(kind, deg, th1, weighted):
+    store = make_store(weighted=weighted, th1=th1)
+    for k in range(deg):
+        assert store.insert_edge(1, 100 + k, 10 * k if weighted else None) is True
+    assert store.vertex_kind(1) == kind
+    dup = 100 + deg // 2
+    assert store.insert_edge(1, dup, 99 if weighted else None) is False
+    want = 99 if weighted else 0
+    assert store.get_edge_prop(1, dup) == want
+    assert store.get_edge_prop(dup, 1) == want  # undirected mirror updated too
+    assert store.degree(1) == deg
+    assert store.neighbors(1).tolist() == [100 + k for k in range(deg)]
+    if weighted:
+        assert store.neighbor_props(1).tolist() == [99 if 100 + k == dup else 10 * k
+                                                    for k in range(deg)]
+    store.check_invariants(1, deep=True)
 
 
 def test_unweighted_rejects_property():
@@ -203,14 +221,21 @@ def test_vertex_range_checked():
         store.neighbors(10)
 
 
-def test_delete_moves_last_edge_into_hole():
-    store = make_store()
-    for k in (10, 11, 12, 13):
-        store.insert_half(0, k)
+@LAYOUTS
+@WEIGHTS
+def test_delete_moves_last_edge_into_hole(kind, deg, th1, weighted):
+    store = make_store(weighted=weighted, th1=th1)
+    w = 1 if weighted else 0
+    for k in range(deg):
+        store.insert_half(0, 10 + k, (k + 1) * w)
     assert store.delete_half(0, 11) is True
-    assert sorted(store.neighbors(0).tolist()) == [10, 12, 13]
-    assert store.neighbors(0).tolist()[1] == 13  # last slid into the hole
+    assert store.vertex_kind(0) == kind
+    want = [10, 10 + deg - 1] + [10 + k for k in range(2, deg - 1)]  # last slid into the hole
+    assert store.neighbors(0).tolist() == want
+    if weighted:
+        assert store.neighbor_props(0).tolist() == [d - 9 for d in want]  # with its property
     assert store.delete_half(0, 11) is False
+    store.check_invariants(0, deep=True)
 
 
 def test_neighbors_view_is_readonly():
