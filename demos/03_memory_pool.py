@@ -1,5 +1,9 @@
 """Free-list pool: size-class rounding, LIFO reuse, and live accounting."""
 
+from array import array
+
+import numpy as np
+
 from graphtango import MemoryPool
 from graphtango.mempool import size_class
 
@@ -28,15 +32,17 @@ def main():
     print(f"a different class allocates fresh: {e:#x}")
     assert e not in (a, b)
 
-    # handles are offsets into pool-owned blocks; views write through
-    view = pool.u64_view(c, 4)
-    view[:] = (2, 3, 5, 7)
-    print(f"u64_view(c, 4) after write: {pool.u64_view(c, 4).tolist()}")
+    # handles are offsets into pool-owned blocks; a chunk's view writes
+    # straight into its block, where gather reads it back
+    f, view = pool.allocate_words(4)
+    view[:] = array("Q", (2, 3, 5, 7))
+    words = pool.gather(np.arange(f, f + 32, 8))
+    print(f"allocate_words(4) -> {f:#x}, after write: {words.tolist()}")
 
     s = pool.stats()
     print(f"bytes_in_use={s['bytes_in_use']}, reserved={s['bytes_reserved']}, "
           f"backing blocks={s['num_blocks']}")
-    for addr, sz in ((c, 32), (d, 32), (e, 64)):
+    for addr, sz in ((c, 32), (d, 32), (e, 64), (f, 32)):
         pool.deallocate(addr, sz)
     print(f"after freeing everything: bytes_in_use={pool.stats()['bytes_in_use']}")
 

@@ -26,8 +26,6 @@ from .core import (
     ConfigError,
     ParseError,
     VertexRangeError,
-    compute_th0,
-    next_pow2,
     partition_of,
 )
 from .mempool import MemoryPool, PoolError
@@ -57,8 +55,6 @@ __all__ = [
     "UNREACHABLE",
     "VertexRangeError",
     "build_snapshot",
-    "compute_th0",
-    "next_pow2",
     "partition_of",
     "run_bfs",
     "run_cc",

@@ -228,9 +228,9 @@ def run_cc(snap: Snapshot, prev: np.ndarray | None = None,
     return KernelResult("cc", values.astype(np.int64), rounds, "full")
 
 
-def run_pr(snap: Snapshot, damping: float = _PR_DAMPING, tol: float = _PR_TOL,
-           max_iters: int = _PR_MAX_ITERS, prev: np.ndarray | None = None) -> KernelResult:
-    """PageRank: rank(v) = (1-d)/V + d * sum over in-edges of rank(u)/outdeg(u).
+def run_pr(snap: Snapshot, prev: np.ndarray | None = None) -> KernelResult:
+    """PageRank: rank(v) = (1-d)/V + d * sum over in-edges of rank(u)/outdeg(u),
+    with d = _PR_DAMPING, tol = _PR_TOL and at most _PR_MAX_ITERS steps.
 
     Each iteration applies the step T(x) = (1-d)/V + d*A*D^-1*x once, and
     the loop stops when the step's L1 change |T(x) - x| is below tol,
@@ -246,32 +246,26 @@ def run_pr(snap: Snapshot, damping: float = _PR_DAMPING, tol: float = _PR_TOL,
     A vertex with no edges at all scores (1-d)/V. Warm starting from prev
     converges to the same fixed point.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"pagerank damping must be in (0, 1), got {damping}")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"pagerank tol must be positive and finite, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"pagerank max_iters must be at least 1, got {max_iters}")
     V = snap.num_vertices
     if V == 0:
         return KernelResult("pr", np.empty(0), 0, "full")
     outdeg = snap.out_degrees()
     mode = "full" if prev is None else "incremental"
     rank = np.full(V, 1.0 / V) if prev is None else prev.copy()
-    base = (1.0 - damping) / V
+    base = (1.0 - _PR_DAMPING) / V
     contrib = np.zeros(V)
     has_out = outdeg > 0
-    d2 = damping * damping
-    switch = np.inf if snap.directed else damping / (1.0 + np.sqrt(1.0 - d2))
+    d2 = _PR_DAMPING * _PR_DAMPING
+    switch = np.inf if snap.directed else _PR_DAMPING / (1.0 + np.sqrt(1.0 - d2))
     last = np.inf
     older = None  # x- once the loop runs Chebyshev
     omega = 1.0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _PR_MAX_ITERS + 1):
         np.divide(rank, outdeg, out=contrib, where=has_out)
         acc = np.bincount(snap.indices, weights=np.repeat(contrib, outdeg), minlength=V)
-        new = base + damping * acc
+        new = base + _PR_DAMPING * acc
         delta = float(np.abs(new - rank).sum())
-        if delta < tol:
+        if delta < _PR_TOL:
             break
         if older is not None:
             omega = 2.0 / (2.0 - d2) if omega == 1.0 else 1.0 / (1.0 - d2 * omega / 4.0)

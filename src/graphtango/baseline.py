@@ -55,12 +55,7 @@ class AdListBase(GraphStore):
     """Per-vertex dynamic edge arrays; subclasses add their locking story."""
 
     def __init__(self, config: Config, num_vertices: int, num_threads: int = 1):
-        self.config = config
-        self.num_vertices = num_vertices
-        self.num_threads = num_threads
-        self.weighted = config.weighted
-        self.directed = config.directed
-        self._ew = 2 if config.weighted else 1
+        super().__init__(config, num_vertices, num_threads)
         self._first = array("Q", bytes(8 * _INITIAL_CAP * self._ew))  # copied per vertex
         self._sides = [_AdjSide(num_vertices)]
         if config.directed:
@@ -151,12 +146,6 @@ class AdListBase(GraphStore):
         out = np.frombuffer(st.arrs[v], dtype=np.uint64)[word:deg * self._ew:self._ew]
         out.flags.writeable = False
         return out
-
-    def neighbors(self, v: int, side: int = OUT) -> np.ndarray:
-        return self._edge_words(v, side, 0)
-
-    def neighbor_props(self, v: int, side: int = OUT) -> np.ndarray | None:
-        return self._edge_words(v, side, 1) if self.weighted else None
 
     def csr(self, side: int = OUT, with_weights: bool = False):
         """One side as CSR arrays (indptr, indices, weights or None), rows in

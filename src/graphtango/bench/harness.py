@@ -36,7 +36,7 @@ from .data import EdgeList
 FORMATS = ("tango", "adlist-shared", "adlist-chunked")
 
 DEFAULT_BATCH_SIZE = 100_000
-DEFAULT_SOURCE = 0
+DEFAULT_SOURCE = 0  # the vertex bfs and sssp start from
 
 # Threshold values exercised by sweep mode.
 TH1_SWEEP = (8, 16, 32, 64, 128, 256, 512)
@@ -297,8 +297,7 @@ def _hist_delta(new: dict, old: dict) -> dict:
 
 def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = None,
                    algorithms=("bfs", "pr"), batch_size: int = DEFAULT_BATCH_SIZE,
-                   num_threads: int = 1, source: int = DEFAULT_SOURCE,
-                   collect_values: bool = False):
+                   num_threads: int = 1, collect_values: bool = False):
     """Run the insert-all / delete-all batched experiment on one store format.
 
     Analytics run after every batch: incrementally on insert batches once a
@@ -335,7 +334,6 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
 
     store = make_store(fmt, config, el.num_vertices, num_threads)
     workers = WorkerSet(store, num_threads)
-    is_tango = isinstance(store, TangoStore)
     need_in = config.directed and "cc" in algorithms
 
     reports: list[BatchReport] = []
@@ -374,13 +372,13 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                     incr = inserting and p is not None
                     a0 = perf_counter()
                     if name == "bfs":
-                        res = run_bfs(snap, source, prev=p,
+                        res = run_bfs(snap, DEFAULT_SOURCE, prev=p,
                                       new_edges=(srcs, dsts) if incr else None)
                     elif name == "sssp":
                         # A re-weighted edge may have grown heavier, which
                         # relaxation from prev cannot see: run in full.
                         incr = incr and not overwrites
-                        res = run_sssp(snap, source, prev=p if incr else None,
+                        res = run_sssp(snap, DEFAULT_SOURCE, prev=p if incr else None,
                                        new_edges=(srcs, dsts, wts) if incr else None)
                     elif name == "cc":
                         res = run_cc(snap, prev=p,
@@ -394,13 +392,10 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
                     if collect_values:
                         batch_values[name] = res.values
 
-                if is_tango:
-                    probe = store.probe_stats()
-                    probe_insert = _hist_delta(probe["insert"], last_probe["insert"])
-                    probe_find = _hist_delta(probe["find"], last_probe["find"])
-                    last_probe = probe
-                else:
-                    probe_insert, probe_find = {}, {}
+                probe = store.probe_stats()
+                probe_insert = _hist_delta(probe["insert"], last_probe["insert"])
+                probe_find = _hist_delta(probe["find"], last_probe["find"])
+                last_probe = probe
 
                 reports.append(BatchReport(
                     index=bi, phase=phase, edges=hi - lo, seconds=seconds,
@@ -429,7 +424,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
 
 def run_th1_sweep(el: EdgeList, *, algorithms=("bfs",),
                   batch_size: int = DEFAULT_BATCH_SIZE, num_threads: int = 1,
-                  th1_values=TH1_SWEEP, source: int = DEFAULT_SOURCE):
+                  th1_values=TH1_SWEEP):
     """Repeat the experiment on the hybrid store across hash thresholds.
 
     Returns one row per threshold with throughput geomeans, the insert-phase
@@ -440,7 +435,7 @@ def run_th1_sweep(el: EdgeList, *, algorithms=("bfs",),
         config = Config(weighted=el.weighted, directed=el.directed, th1=th1)
         reports, summary = run_experiment(
             el, "tango", config=config, algorithms=algorithms,
-            batch_size=batch_size, num_threads=num_threads, source=source)
+            batch_size=batch_size, num_threads=num_threads)
         ins = [r for r in reports if r.phase == "insert"]
         bpe = [r.bytes_per_edge for r in ins if not math.isnan(r.bytes_per_edge)]
         rows.append({
@@ -474,7 +469,7 @@ SWEEP_COLUMNS = (
 )
 
 # Stated in every report header so numbers are interpretable on their own;
-# built from run_pr's defaults so the header states what the kernel runs.
+# built from run_pr's constants so the header states what the kernel runs.
 PR_FORMULA_NOTE = (
     "pagerank: rank(v) = (1-d)/|V| + d*sum_{u->v} rank(u)/outdeg(u), "
     f"d={_PR_DAMPING}, L1 step tolerance {_PR_TOL}, max {_PR_MAX_ITERS} iterations; "

@@ -51,38 +51,19 @@ def _check_pow2(name: str, value: int) -> int:
     return value.bit_length() - 1
 
 
-def _h34(key: int, log_m: int) -> tuple[int, int]:
-    """Line start h3 and odd line stride h4 of key, for 2**log_m lines."""
+def probe_sequence(key: int, m_lines: int, n_slots: int) -> np.ndarray:
+    """All m_lines * n_slots probe slots for key, in probe order, as one
+    uint64 array: the reference for the probe recurrence, which the table's
+    walk computes incrementally. h3/h4 are computed once in exact integer
+    arithmetic, the i-dependent part is vectorized. Requires
+    2 * log2(m_lines) <= 64.
+    """
+    log_m = _check_pow2("m_lines", m_lines)
+    log_n = _check_pow2("n_slots", n_slots)
     if 2 * log_m > 64:
         raise ValueError(f"2*log2(m_lines) = {2 * log_m} exceeds the 64-bit key width")
     y = (key * HASH_CONSTANT_64) & _MASK64
-    return y >> (64 - log_m), (y >> (64 - (log_m << 1))) | 1
-
-
-def hash_probe(key: int, i: int, m_lines: int, n_slots: int) -> int:
-    """Slot index of probe i for key, in a table of m_lines lines of n_slots.
-
-    Pure function of its arguments and the scalar reference for the probe
-    recurrence; the table's walk computes the same values incrementally.
-    Requires 2 * log2(m_lines) <= 64.
-    """
-    log_m = _check_pow2("m_lines", m_lines)
-    log_n = _check_pow2("n_slots", n_slots)
-    h3, h4 = _h34(key, log_m)
-    h1 = (h3 + (i >> log_n) * h4) & (m_lines - 1)
-    h2 = (key + i) & (n_slots - 1)
-    return (h1 << log_n) | h2
-
-
-def probe_sequence(key: int, m_lines: int, n_slots: int) -> np.ndarray:
-    """All m_lines * n_slots probe slots for key, as one uint64 array.
-
-    Same math as hash_probe; h3/h4 are computed once in exact integer
-    arithmetic, the i-dependent part is vectorized.
-    """
-    log_m = _check_pow2("m_lines", m_lines)
-    log_n = _check_pow2("n_slots", n_slots)
-    h3, h4 = _h34(key, log_m)
+    h3, h4 = y >> (64 - log_m), (y >> (64 - (log_m << 1))) | 1
     i = np.arange(m_lines * n_slots, dtype=np.uint64)
     h1 = (np.uint64(h3) + (i >> np.uint64(log_n)) * np.uint64(h4)) & np.uint64(m_lines - 1)
     h2 = (np.uint64(key & _MASK64) + i) & np.uint64(n_slots - 1)
@@ -147,15 +128,16 @@ class CfhTable:
     The slots live in a single pool chunk, one packed key << 32 | value word
     each, LINE_WORDS to a line. capacity_slots must be a power of two and at
     least one line; the caller's load contract is live_count <= capacity/2.
+    Without a pool the table allocates from a private one, which goes with
+    the table when it is garbage collected.
     """
 
     __slots__ = ("pool", "capacity_slots", "m_lines", "live_count",
-                 "tombstone_count", "stats", "_own_pool", "_chunk",
-                 "_words", "_wmv", "_shift3", "_shift4")
+                 "tombstone_count", "stats", "_chunk", "_words", "_shift3",
+                 "_shift4")
 
     def __init__(self, capacity_slots: int, *, pool: MemoryPool | None = None,
                  stats: ProbeStats | None = None):
-        self._own_pool = pool is None
         self.pool = MemoryPool() if pool is None else pool
         self.stats = ProbeStats() if stats is None else stats
         self.live_count = 0
@@ -176,12 +158,10 @@ class CfhTable:
         self.m_lines = m_lines
         self._shift3 = 64 - log_m
         self._shift4 = 64 - (log_m << 1)
-        self._chunk = self.pool.allocate(capacity_slots * SLOT_BYTES)
-        self._words = self.pool.u64_view(self._chunk, capacity_slots)
-        self._words.fill(EMPTY_KEY)
         # Single words are read and written through a memoryview: about half
         # the cost of a numpy scalar access, on every probe of every walk.
-        self._wmv = memoryview(self._words)
+        self._chunk, self._words = self.pool.allocate_words(capacity_slots)
+        np.frombuffer(self._words, dtype=np.uint64).fill(EMPTY_KEY)
 
     def _walk(self, key: int, hist: dict | None) -> tuple[int, bool, int]:
         """Walk key's probe sequence to the key or to the first empty slot.
@@ -195,7 +175,7 @@ class CfhTable:
         """
         y = (key * HASH_CONSTANT_64) & _MASK64
         h3 = y >> self._shift3
-        words = self._wmv
+        words = self._words
         n = LINE_WORDS
         mask_n = n - 1
         log_n = _LOG_LINE
@@ -245,7 +225,7 @@ class CfhTable:
     def find(self, key: int) -> int | None:
         """Value stored for key, or None. Skips tombstones, stops at empty."""
         slot, hit, _ = self._walk(key, self.stats.find)
-        return self._wmv[slot] & _MASK32 if hit else None
+        return self._words[slot] & _MASK32 if hit else None
 
     def locate(self, key: int) -> tuple[int, int | None, int]:
         """find() that also returns where its walk ended: (slot, value, dist).
@@ -258,7 +238,7 @@ class CfhTable:
         value keeps it.
         """
         slot, hit, dist = self._walk(key, self.stats.find)
-        return slot, (self._wmv[slot] & _MASK32 if hit else None), dist
+        return slot, (self._words[slot] & _MASK32 if hit else None), dist
 
     def insert(self, key: int, value: int) -> bool:
         """Insert key -> value (True) or overwrite an existing key (False).
@@ -288,7 +268,7 @@ class CfhTable:
         """insert(), adding the probe distance to hist unless it is None."""
         slot, hit, _ = self._walk(key, hist)
         if hit:
-            self._wmv[slot] = key << 32 | value
+            self._words[slot] = key << 32 | value
             return False
         self._place(slot, key, value)
         return True
@@ -302,7 +282,7 @@ class CfhTable:
         if live > half:
             raise CapacityError(
                 f"insert would push live count past capacity/2 ({live} > {half})")
-        words = self._wmv
+        words = self._words
         reused_tomb = words[slot] == TOMBSTONE_KEY
         words[slot] = key << 32 | value
         self.live_count = live
@@ -328,7 +308,7 @@ class CfhTable:
         self._tombstone(slot)
 
     def _tombstone(self, slot: int) -> None:
-        self._wmv[slot] = TOMBSTONE_KEY
+        self._words[slot] = TOMBSTONE_KEY
         self.live_count -= 1
         self.tombstone_count += 1
 
@@ -350,7 +330,7 @@ class CfhTable:
             )
         live = self.items()
         if new_capacity_slots == self.capacity_slots:
-            self._words.fill(EMPTY_KEY)
+            np.frombuffer(self._words, dtype=np.uint64).fill(EMPTY_KEY)
         else:
             old_chunk, old_bytes = self._chunk, self.chunk_bytes
             self._set_capacity(new_capacity_slots)
@@ -358,7 +338,7 @@ class CfhTable:
         self.tombstone_count = 0
         # The cleared table holds no tombstones and the keys are distinct,
         # so each key takes the empty slot its walk ends at.
-        words, walk = self._wmv, self._walk
+        words, walk = self._words, self._walk
         for key, value in live:
             words[walk(key, None)[0]] = key << 32 | value
 
@@ -374,15 +354,14 @@ class CfhTable:
         if self._chunk:
             self.pool.deallocate(self._chunk, self.chunk_bytes)
             self._chunk = 0
-            self._words = self._wmv = None
-            if self._own_pool:
-                self.pool.close()
+            self._words = None
 
     # -- introspection ------------------------------------------------------
 
     def items(self) -> list[tuple[int, int]]:
         """Live (key, value) pairs in slot order."""
-        live = self._words[self._words < np.uint64(TOMBSTONE_KEY)]
+        words = np.frombuffer(self._words, dtype=np.uint64)
+        live = words[words < np.uint64(TOMBSTONE_KEY)]
         return list(zip((live >> np.uint64(32)).tolist(),
                         (live & np.uint64(_MASK32)).tolist()))
 

@@ -4,8 +4,8 @@ Everything here is plain integer arithmetic: the fixed store geometry
 (64-byte metadata lines, 512-vertex partitions, 4 MiB pool blocks), degree
 thresholds derived from the line size, the vertex -> worker partition map,
 and the Config object the store, baselines, and benchmark harness all
-consume. GraphStore holds the logical-edge operations the store and the
-baselines share.
+consume. GraphStore holds the fields, argument checks and logical-edge
+operations the store and the baselines share.
 """
 
 from __future__ import annotations
@@ -67,33 +67,6 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= n (n >= 1).
-
-    >>> next_pow2(7)
-    8
-    >>> next_pow2(8)
-    8
-    """
-    if n < 1:
-        raise ValueError("next_pow2 needs n >= 1")
-    return 1 << (n - 1).bit_length()
-
-
-def compute_th0(cache_line_bytes: int, edge_bytes: int, deg_bytes: int = DEG_BYTES) -> int:
-    """Number of edges that fit inline in a cache-line record next to the
-    degree counter: floor((cache_line_bytes - deg_bytes) / edge_bytes).
-
-    64-byte lines hold 7 unweighted (8-byte) or 3 weighted (16-byte) edges.
-    """
-    if cache_line_bytes < deg_bytes + edge_bytes:
-        raise ConfigError(
-            f"cache line of {cache_line_bytes} B cannot hold a {deg_bytes} B "
-            f"degree counter plus one {edge_bytes} B edge"
-        )
-    return (cache_line_bytes - deg_bytes) // edge_bytes
-
-
 def partition_of(vertex_id, num_threads: int):
     """Owning worker index for a vertex id, or for each id in an array of
     them: (v // PARTITION_SIZE) % num_threads.
@@ -106,14 +79,28 @@ def partition_of(vertex_id, num_threads: int):
 
 
 class GraphStore:
-    """Logical-edge operations shared by the hybrid store and the baselines.
+    """Fields, checks and logical-edge operations shared by the hybrid store
+    and the baselines.
 
-    Subclasses set num_vertices, weighted and directed, and supply the
-    single-direction operations: insert_half, delete_half, neighbors,
-    neighbor_props and stored_edges.
+    Subclasses supply the single-direction operations insert_half,
+    delete_half and stored_edges, and _edge_words, the read-only view of
+    one word of each of a vertex's live edges.
     """
 
     hash_bytes = 0  # pool bytes held by hash tables; only the hybrid store has any
+
+    def __init__(self, config: Config, num_vertices: int, num_threads: int):
+        if num_threads < 1:
+            raise ValueError("num_threads must be >= 1")
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(f"num_vertices {num_vertices} exceeds MAX_VERTICES "
+                             f"{MAX_VERTICES}: vertex ids must fit a 32-bit hash key")
+        self.config = config
+        self.num_vertices = num_vertices
+        self.num_threads = num_threads
+        self.weighted = config.weighted
+        self.directed = config.directed
+        self._ew = 2 if config.weighted else 1  # words per edge
 
     def _check_vertex(self, v: int) -> None:
         if v < 0 or v >= self.num_vertices:
@@ -145,6 +132,18 @@ class GraphStore:
             self.delete_half(dst, src, OUT)
         return deleted
 
+    def neighbors(self, v: int, side: int = OUT):
+        """Read-only view of v's live neighbor ids, in storage (index) order.
+
+        Never touches a hash table, so traversal is safe to run while no
+        update batch is in flight.
+        """
+        return self._edge_words(v, side, 0)
+
+    def neighbor_props(self, v: int, side: int = OUT):
+        """Read-only view of edge properties aligned with neighbors(v)."""
+        return self._edge_words(v, side, 1) if self.weighted else None
+
     def in_neighbors(self, v: int):
         """In-edge cursor; the out cursor when the graph is undirected."""
         return self.neighbors(v, IN if self.directed else OUT)
@@ -158,6 +157,10 @@ class GraphStore:
         if not self.weighted:
             return 0
         return int(self.neighbor_props(src)[int(hit[0])])
+
+    def probe_stats(self) -> dict:
+        """Probe-distance histograms of the store's hash tables; empty here."""
+        return {"insert": {}, "find": {}}
 
     def live_edges(self) -> float:
         """Logical live edge count: out-degree sum, halved when undirected."""
@@ -182,7 +185,7 @@ class Config:
     th0: int = field(init=False)
 
     def __post_init__(self):
-        self.th0 = compute_th0(CACHE_LINE_BYTES, self.edge_bytes)
+        self.th0 = (CACHE_LINE_BYTES - DEG_BYTES) // self.edge_bytes
         if self.th1 < 1 or self.th1 & (self.th1 - 1):
             raise ConfigError("th1 must be a power of two")
         if self.th1 <= self.th0:

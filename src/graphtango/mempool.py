@@ -93,7 +93,7 @@ class MemoryPool:
     of max(block_bytes, chunk_size) when there is none. deallocate() takes
     the original request size back and pushes the chunk, so a matching size
     on free is part of the contract (debug mode verifies it). Blocks are
-    only released when the pool is closed or garbage collected.
+    only released when the pool is garbage collected.
     """
 
     def __init__(self, block_bytes: int = 4 * 1024 * 1024, debug: bool = False):
@@ -111,7 +111,6 @@ class MemoryPool:
         self._blocks: list[_Block] = []
         self._live: dict[int, int] = {}  # addr -> class, debug only
         self._owner: int | None = None
-        self._closed = False
 
     # -- internals ---------------------------------------------------------
 
@@ -143,16 +142,7 @@ class MemoryPool:
 
     def allocate(self, size: int) -> int:
         """Return the virtual address of a chunk of 2**size_class(size) bytes."""
-        if self._closed:
-            raise PoolError("pool is closed")
-        # size_class(), unrolled: this is the hottest call in the store.
-        if size <= 0:
-            raise ValueError("allocation size must be positive")
-        k = (size - 1).bit_length()
-        if k < MIN_CLASS:
-            k = MIN_CLASS
-        elif k > MAX_CLASS:
-            raise ValueError(f"allocation of {size} B exceeds max chunk 2**{MAX_CLASS}")
+        k = size_class(size)
         heads = self._free_heads
         addr = heads[k]
         if addr:
@@ -180,15 +170,7 @@ class MemoryPool:
 
     def deallocate(self, addr: int, size: int) -> None:
         """Return a chunk to its free list; size must match the allocation."""
-        if self._closed:
-            raise PoolError("pool is closed")
-        if size <= 0:
-            raise ValueError("allocation size must be positive")
-        k = (size - 1).bit_length()
-        if k < MIN_CLASS:
-            k = MIN_CLASS
-        elif k > MAX_CLASS:
-            raise ValueError(f"allocation of {size} B exceeds max chunk 2**{MAX_CLASS}")
+        k = size_class(size)
         block = self._blocks[(addr >> _ADDR_SHIFT) - 1]
         word = (addr & _OFF_MASK) >> 3
         if self.debug:
@@ -198,17 +180,12 @@ class MemoryPool:
         self._free_heads[k] = addr
         self.bytes_in_use -= 1 << k
 
-    def u64_view(self, addr: int, nwords: int) -> np.ndarray:
-        """uint64 view of nwords words starting at a chunk address."""
-        block = self._blocks[(addr >> _ADDR_SHIFT) - 1]
-        word = (addr & _OFF_MASK) >> 3
-        return block.u64[word:word + nwords]
-
     def gather(self, addrs: np.ndarray) -> np.ndarray:
         """uint64 word at each byte address in addrs, an ascending int64 array.
 
-        The vectorized counterpart of u64_view. Ascending addresses come
-        grouped by block, so each block serves one run with one numpy gather.
+        The vectorized read of words that allocate_words views one chunk at a
+        time. Ascending addresses come grouped by block, so each block serves
+        one run with one numpy gather.
         """
         ends = np.searchsorted(addrs, np.arange(2, len(self._blocks) + 2) << _ADDR_SHIFT)
         out = np.empty(len(addrs), dtype=np.uint64)
@@ -232,18 +209,6 @@ class MemoryPool:
             "bytes_reserved": self.bytes_reserved,
             "num_blocks": len(self._blocks),
         }
-
-    def close(self) -> None:
-        """Drop every block. A chunk view still held keeps its block's memory
-        alive, but the pool no longer hands that memory out."""
-        self._blocks.clear()
-        self._free_heads = [NULL] * (MAX_CLASS + 1)
-        self._fresh = [NULL] * (MAX_CLASS + 1)
-        self._fresh_end = [NULL] * (MAX_CLASS + 1)
-        self.bytes_in_use = 0
-        self.bytes_reserved = 0
-        self._live.clear()
-        self._closed = True
 
     # -- debug shadow allocator ---------------------------------------------
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .cfhash import CfhTable, ProbeStats
 from .core import IN, OUT  # re-exported: callers import the directions from here
-from .core import (BLOCK_BYTES, CACHE_LINE_BYTES, LINE_WORDS, MAX_VERTICES, SCAN_LIMIT,
+from .core import (BLOCK_BYTES, CACHE_LINE_BYTES, LINE_WORDS, SCAN_LIMIT,
                    Config, GraphStore, VertexRangeError, partition_of)
 from .mempool import MemoryPool, alloc_aligned
 
@@ -103,19 +103,9 @@ class TangoStore(GraphStore):
 
     def __init__(self, config: Config, num_vertices: int, num_threads: int = 1,
                  debug: bool = False):
-        if num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
-        if num_vertices > MAX_VERTICES:
-            raise ValueError(f"num_vertices {num_vertices} exceeds MAX_VERTICES "
-                             f"{MAX_VERTICES}: vertex ids must fit a 32-bit hash key")
-        self.config = config
-        self.num_vertices = num_vertices
-        self.num_threads = num_threads
+        super().__init__(config, num_vertices, num_threads)
         self.th0 = config.th0
         self.th1 = config.th1
-        self.weighted = config.weighted
-        self.directed = config.directed
-        self._ew = 2 if config.weighted else 1  # words per edge
         self.pools = [_Partition(debug) for _ in range(num_threads)]
         self._sides = [_Side(num_vertices) for _ in range(2 if config.directed else 1)]
 
@@ -322,18 +312,6 @@ class TangoStore(GraphStore):
         out = np.frombuffer(view, dtype=np.uint64)[word:deg * self._ew:self._ew]
         out.flags.writeable = False
         return out
-
-    def neighbors(self, v: int, side: int = OUT) -> np.ndarray:
-        """Read-only view of v's live neighbor ids, in storage (index) order.
-
-        Never touches the hash table, so traversal is safe to run while no
-        update batch is in flight.
-        """
-        return self._edge_words(v, side, 0)
-
-    def neighbor_props(self, v: int, side: int = OUT) -> np.ndarray | None:
-        """Read-only view of edge properties aligned with neighbors(v)."""
-        return self._edge_words(v, side, 1) if self.weighted else None
 
     def csr(self, side: int = OUT, with_weights: bool = False):
         """One side as CSR arrays: (indptr, indices, weights or None).

@@ -385,7 +385,7 @@ def bench_matrix():
             for fmt in formats:
                 reports, summary = run_experiment(
                     el, fmt, config=cfg, algorithms=("bfs", "pr"),
-                    batch_size=BENCH_BATCH, num_threads=BENCH_THREADS, source=0)
+                    batch_size=BENCH_BATCH, num_threads=BENCH_THREADS)
                 runs[fmt]["update"].append(geomean([r.edges_per_s for r in reports]))
                 runs[fmt]["analytics"].append(summary.analytics_geomean_eps)
                 runs[fmt]["bytes_per_edge"].append(summary.mean_bytes_per_edge)

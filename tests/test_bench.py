@@ -11,7 +11,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from graphtango import Config, ParseError, TangoStore
+from graphtango import Config, ParseError, TangoStore, core
 from graphtango.analytics import KERNELS
 from graphtango.bench import cli, data, harness
 from graphtango.bench.cli import main
@@ -24,6 +24,7 @@ from graphtango.bench.harness import (
     emit_report,
     emit_sweep_report,
     geomean,
+    make_store,
     parse_report,
     route_batch,
     run_experiment,
@@ -770,6 +771,20 @@ def test_thread_count_below_one_refused_before_any_thread(monkeypatch, capsys, f
                "--format", fmt, "--threads", str(threads)])
     assert rc == 2
     assert ">= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_every_format_refuses_a_bad_thread_or_vertex_count(monkeypatch, fmt):
+    # Each store checks its own arguments, for callers other than the harness.
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match=">= 1"):
+            make_store(fmt, Config(), 10, threads)
+    with pytest.raises(ValueError, match="MAX_VERTICES"):
+        make_store(fmt, Config(), MAX_VERTICES + 1)
+    monkeypatch.setattr(core, "MAX_VERTICES", 16)
+    assert make_store(fmt, Config(), 16).num_vertices == 16
+    with pytest.raises(ValueError, match="MAX_VERTICES"):
+        make_store(fmt, Config(), 17)
 
 
 def test_cli_vertices_above_max_exit_2_before_generation(monkeypatch, capsys):

@@ -12,7 +12,6 @@ from graphtango.cfhash import (
     VALUE_LIMIT,
     CfhTable,
     ProbeStats,
-    hash_probe,
     probe_sequence,
 )
 from graphtango.core import HASH_CONSTANT_64, LINE_WORDS, CapacityError
@@ -44,7 +43,6 @@ def test_known_64bit_probe_slots():
     assert HASH_CONSTANT_64 >> 60 == 0b1001
     expected = {0: 17, 7: 16, 8: 25, 15: 24, 16: 1, 24: 9, 31: 8}
     for i, slot in expected.items():
-        assert hash_probe(1, i, 4, 8) == slot
         assert slot_oracle(1, i, 2, 3, HASH_CONSTANT_64, 64) == slot
         assert int(probe_sequence(1, 4, 8)[i]) == slot
 
@@ -57,7 +55,7 @@ def test_probe_matches_oracle():
         m, n = 1 << log_m, 1 << log_n
         key = rng.randrange(1 << 64)
         i = rng.randrange(m * n)
-        assert hash_probe(key, i, m, n) == \
+        assert int(probe_sequence(key, m, n)[i]) == \
             slot_oracle(key, i, log_m, log_n, HASH_CONSTANT_64, 64)
 
 
@@ -76,7 +74,8 @@ def test_sequence_matches_scalar():
         key = rng.randrange(1 << 64)
         seq = probe_sequence(key, m, n)
         for i in range(0, m * n, max(1, m * n // 10)):
-            assert int(seq[i]) == hash_probe(key, i, m, n)
+            assert int(seq[i]) == slot_oracle(key, i, m.bit_length() - 1, n.bit_length() - 1,
+                                              HASH_CONSTANT_64, 64)
 
 
 def test_line_confinement():
@@ -97,13 +96,11 @@ def test_line_confinement():
 
 def test_probe_validation():
     with pytest.raises(ValueError):
-        hash_probe(1, 0, 3, 8)  # m not a power of two
+        probe_sequence(1, 3, 8)  # m not a power of two
     with pytest.raises(ValueError):
-        hash_probe(1, 0, 4, 6)  # n not a power of two
+        probe_sequence(1, 4, 6)  # n not a power of two
     with pytest.raises(ValueError):
-        hash_probe(1, 0, 1 << 33, 8)  # 2*log2(m) = 66 > 64
-    with pytest.raises(ValueError):
-        probe_sequence(1, 5, 8)
+        probe_sequence(1, 1 << 33, 8)  # 2*log2(m) = 66 > 64
 
 
 def test_table_basic_roundtrip():
@@ -137,7 +134,8 @@ def test_probe_stats_recording():
 
 def test_remove_records_exhausted_walk_like_find():
     t = CfhTable(16)
-    t._words.fill(TOMBSTONE_KEY)  # no empty slot: every walk runs out
+    # No empty slot: every walk runs out.
+    np.frombuffer(t._words, dtype=np.uint64).fill(TOMBSTONE_KEY)
     assert t.find(5) is None
     assert t.remove(5) is False
     assert t.probe_stats()["find"] == {16: 2}
@@ -182,9 +180,9 @@ def test_capacity_enforced():
 def test_same_line_collisions_probe_onward():
     # find keys whose first probe hits the same slot, then make them fight
     t = CfhTable(64)
-    target = hash_probe(1, 0, 8, 8)
+    target = probe_sequence(1, 8, 8)[0]
     rivals = [k for k in range(1, 4000)
-              if hash_probe(k, 0, 8, 8) == target][:4]
+              if probe_sequence(k, 8, 8)[0] == target][:4]
     assert len(rivals) == 4
     for j, k in enumerate(rivals):
         t.insert(k, j)
@@ -233,7 +231,6 @@ def test_rebuild_resizes():
         assert t.find(k) == k * 7
     t.release()
     assert pool.stats()["bytes_in_use"] == 0
-    pool.close()
 
 
 def test_rebuild_refuses_a_bad_capacity_and_changes_nothing():
@@ -254,7 +251,6 @@ def test_rebuild_refuses_a_bad_capacity_and_changes_nothing():
         assert all(t.find(k) == k + 100 for k in range(n_keys))
         assert pool.stats()["bytes_in_use"] == 16 * 8
         t.release()
-        pool.close()
     for bad in (12, 4, 0):
         with pytest.raises(ValueError):
             CfhTable(bad)
@@ -285,10 +281,9 @@ def test_keys_and_values_share_one_chunk():
     t.insert(7, 70)
     slot, value, _ = t.locate(7)
     assert value == 70
-    assert t._words.item(slot) == 7 << 32 | 70  # key and value in one word
+    assert t._words[slot] == 7 << 32 | 70  # key and value in one word
     t.release()
     assert pool.stats()["bytes_in_use"] == 0
-    pool.close()
 
 
 def test_empty_and_tombstone_are_reserved():
@@ -308,7 +303,7 @@ def test_empty_and_tombstone_are_reserved():
         assert t.find(key) is None
         assert t.remove(key) is False
         assert t.locate(key)[1] is None
-    t._words.fill(TOMBSTONE_KEY)
+    np.frombuffer(t._words, dtype=np.uint64).fill(TOMBSTONE_KEY)
     assert t.find(2**32 - 1) is None
     t.release()
 
@@ -520,7 +515,6 @@ def test_table_matches_straight_line_oracle(cap, ops):
         assert outcomes[0] == outcomes[1], (op, args)
         _assert_same(t, o)
     t.release()
-    pool.close()
 
 
 def test_bulk_load_onto_tombstones_keeps_accounting_exact():

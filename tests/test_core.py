@@ -3,46 +3,21 @@ import doctest
 import numpy as np
 import pytest
 
-from graphtango import core, mempool
+import graphtango
+from graphtango import mempool
 from graphtango.core import (
     CACHE_LINE_BYTES,
     Config,
     ConfigError,
-    compute_th0,
-    next_pow2,
     partition_of,
 )
 
 
-def test_next_pow2():
-    assert next_pow2(1) == 1
-    assert next_pow2(2) == 2
-    assert next_pow2(3) == 4
-    assert next_pow2(7) == 8
-    assert next_pow2(8) == 8
-    assert next_pow2(9) == 16
-    assert next_pow2(1 << 20) == 1 << 20
-    with pytest.raises(ValueError):
-        next_pow2(0)
-
-
 def test_module_doctests_pass():
     # pytest collects only tests/ and perfbench/, so the examples in
-    # core.next_pow2 and mempool.size_class run here.
-    for module in (core, mempool):
-        result = doctest.testmod(module)
-        assert (result.failed, result.attempted) == (0, 2), module.__name__
-
-
-def test_th0_values():
-    # 64-byte line, 8-byte degree word: 7 unweighted or 3 weighted edges inline
-    assert compute_th0(64, 8) == 7
-    assert compute_th0(64, 16) == 3
-    assert compute_th0(128, 8) == 15
-    assert compute_th0(128, 16) == 7
-    assert compute_th0(32, 8) == 3
-    with pytest.raises(ConfigError):
-        compute_th0(16, 16)  # degree word leaves no room for an edge
+    # mempool.size_class run here.
+    result = doctest.testmod(mempool)
+    assert (result.failed, result.attempted) == (0, 2)
 
 
 def test_partition_of():
@@ -58,6 +33,7 @@ def test_partition_of():
 
 
 def test_config_defaults():
+    # 64-byte line, 8-byte degree word: 7 unweighted or 3 weighted edges inline
     cfg = Config()
     assert cfg.th0 == 7
     assert cfg.th1 == 32
@@ -87,6 +63,9 @@ def test_config_fixes_the_geometry():
     assert Config(weighted=True).cache_line_bytes == 64
 
 
-def test_config_th0_follows_line_size():
-    assert compute_th0(128, 8) == 15
-    assert compute_th0(128, 16) == 7
+
+def test_star_import_resolves_every_export():
+    # A name deleted from its module but left in __all__ breaks this import.
+    names = {}
+    exec("from graphtango import *", names)
+    assert all(name in names for name in graphtango.__all__)

@@ -1,4 +1,5 @@
 import threading
+from array import array
 
 import numpy as np
 import pytest
@@ -53,7 +54,6 @@ def test_rounding_and_accounting():
     pool.deallocate(c, 9)
     assert pool.stats()["bytes_in_use"] == 0
     assert pool.stats()["bytes_reserved"] == 3 << 20
-    pool.close()
 
 
 def test_never_returns_null():
@@ -61,7 +61,6 @@ def test_never_returns_null():
     addrs = [pool.allocate(8) for _ in range(5000)]
     assert NULL not in addrs
     assert len(set(addrs)) == len(addrs)
-    pool.close()
 
 
 def test_lifo_reuse():
@@ -75,7 +74,6 @@ def test_lifo_reuse():
     # freed last, handed out first
     assert pool.allocate(64) == b
     assert pool.allocate(64) == a
-    pool.close()
 
 
 def test_classes_are_independent():
@@ -87,7 +85,6 @@ def test_classes_are_independent():
     assert c != a
     pool.deallocate(b, 128)
     pool.deallocate(c, 128)
-    pool.close()
 
 
 def test_oversized_chunk_gets_dedicated_block():
@@ -101,34 +98,34 @@ def test_oversized_chunk_gets_dedicated_block():
     pool.deallocate(big, 5 << 20)
     assert pool.allocate(5 << 20) == big
     pool.deallocate(small, 100)
-    pool.close()
 
 
 def test_views_share_memory():
+    # A view is the chunk's memory, not a copy: the view of a chunk handed
+    # out again reads what the earlier view wrote, bar word 0, which held
+    # the free-list link in between.
     pool = MemoryPool()
-    a = pool.allocate(256)
-    v1 = pool.u64_view(a, 32)
-    v2 = pool.u64_view(a, 32)
-    v1[:] = np.arange(32, dtype=np.uint64)
-    assert np.array_equal(v2, np.arange(32, dtype=np.uint64))
-    assert len(pool.u64_view(a, 4)) == 4
-    pool.close()
+    a, v1 = pool.allocate_words(32)
+    v1[:] = array("Q", range(100, 132))
+    pool.deallocate(a, 256)
+    b, v2 = pool.allocate_words(32)
+    assert b == a and v2[1:].tolist() == list(range(101, 132))
+    assert len(pool.allocate_words(4)[1]) == 4
 
 
 def test_gather_reads_words_across_blocks():
     pool = MemoryPool(block_bytes=PAGE_BYTES)
-    chunks = [pool.allocate(64) for _ in range(3 * PAGE_BYTES // 64)]
-    chunks.append(pool.allocate(128))  # a block of another class
+    chunks = [pool.allocate_words(8) for _ in range(3 * PAGE_BYTES // 64)]
+    chunks.append(pool.allocate_words(16))  # a block of another class
     assert pool.stats()["num_blocks"] == 4
     words = {}
-    for i, c in enumerate(chunks):
-        pool.u64_view(c, 8)[:] = np.arange(8, dtype=np.uint64) + 100 * i
+    for i, (c, view) in enumerate(chunks):
+        view[:8] = array("Q", range(100 * i, 100 * i + 8))
         words.update({c + 8 * j: 100 * i + j for j in (0, 3, 7)})
     addrs = sorted(words)
     got = pool.gather(np.array(addrs, dtype=np.int64))
     assert got.dtype == np.uint64 and got.tolist() == [words[a] for a in addrs]
     assert pool.gather(np.empty(0, dtype=np.int64)).tolist() == []
-    pool.close()
 
 
 def test_chunk_alignment():
@@ -136,7 +133,6 @@ def test_chunk_alignment():
     for size in (8, 64, 128, 4096, 1 << 16):
         addr = pool.allocate(size)
         assert pool.real_pointer(addr) % min(size, PAGE_BYTES) == 0
-    pool.close()
 
 
 def test_fresh_chunks_are_distinct_until_freed():
@@ -151,7 +147,6 @@ def test_fresh_chunks_are_distinct_until_freed():
         if i % 3 == 2:
             pool.deallocate(live.pop(), 48)
             seen.discard(a)
-    pool.close()
 
 
 def test_address_sequence_across_two_blocks():
@@ -175,7 +170,6 @@ def test_address_sequence_across_two_blocks():
     pool.deallocate(got[-1], 64)
     pool.deallocate(b1 + 64 * 20, 64)
     assert [pool.allocate(64) for _ in range(3)] == [b1 + 64 * 20, b2 + 64, b2 + 128]
-    pool.close()
 
 
 def test_double_free_caught():
@@ -184,7 +178,6 @@ def test_double_free_caught():
     pool.deallocate(a, 64)
     with pytest.raises(PoolError):
         pool.deallocate(a, 64)
-    pool.close()
 
 
 def test_wild_free_caught():
@@ -192,7 +185,6 @@ def test_wild_free_caught():
     a = pool.allocate(64)
     with pytest.raises(PoolError):
         pool.deallocate(a + 8, 8)
-    pool.close()
 
 
 def test_size_mismatch_caught():
@@ -200,17 +192,6 @@ def test_size_mismatch_caught():
     a = pool.allocate(64)
     with pytest.raises(PoolError):
         pool.deallocate(a, 128)
-    pool.close()
-
-
-def test_use_after_close():
-    pool = MemoryPool()
-    a = pool.allocate(64)
-    pool.close()
-    with pytest.raises(PoolError):
-        pool.allocate(8)
-    with pytest.raises(PoolError):
-        pool.deallocate(a, 64)
 
 
 def test_foreign_thread_rejected():
@@ -228,7 +209,6 @@ def test_foreign_thread_rejected():
     t.start()
     t.join()
     assert len(err) == 1
-    pool.close()
 
 
 def test_free_list_survives_heavy_churn():
@@ -249,4 +229,3 @@ def test_free_list_survives_heavy_churn():
     for addr, size in live.items():
         pool.deallocate(addr, size)
     assert pool.stats()["bytes_in_use"] == 0
-    pool.close()

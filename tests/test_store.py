@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from graphtango import store as store_mod
+from graphtango import core
 from graphtango.baseline import AdListChunked, AdListShared
 from graphtango.cfhash import CfhTable
 from graphtango.core import LINE_WORDS, MAX_VERTICES, Config, VertexRangeError
@@ -385,7 +385,7 @@ def test_vertex_count_bound(monkeypatch):
     assert MAX_VERTICES == 2**32 - 1
     with pytest.raises(ValueError, match="MAX_VERTICES"):
         TangoStore(Config(), MAX_VERTICES + 1)
-    monkeypatch.setattr(store_mod, "MAX_VERTICES", 16)
+    monkeypatch.setattr(core, "MAX_VERTICES", 16)
     assert TangoStore(Config(), 16).num_vertices == 16
     with pytest.raises(ValueError, match="MAX_VERTICES"):
         TangoStore(Config(), 17)
