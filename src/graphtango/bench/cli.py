@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                    metavar="N", help=f"edges per batch (default {DEFAULT_BATCH_SIZE})")
     p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help=f"update worker threads, 1 to {MAX_THREADS} (default 1)")
+                   help=f"update workers, 1 to {MAX_THREADS}; the caller is one of "
+                        "them, so N spawns N-1 threads (default 1)")
     p.add_argument("--seed", type=int, default=42, metavar="N",
                    help="seed for generation and shuffling (default 42)")
     p.add_argument("--th1", type=int, default=DEFAULT_TH1, metavar="N",
@@ -103,6 +104,8 @@ def _parse_algorithms(arg: str) -> tuple:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         cfg = Config(weighted=args.weighted, directed=args.directed, th1=args.th1)
         el = _build_dataset(args, cfg)
         algorithms = _parse_algorithms(args.algorithms)

@@ -3,8 +3,10 @@
 An experiment inserts the whole edge list in fixed-size batches, runs every
 requested algorithm after each batch, then deletes in batches of the same
 size until the store is empty, again with analytics per batch.  Updates are
-applied by a set of worker threads spawned once per experiment; a barrier
-separates each update phase from the analytics that reads the store.
+applied by T workers: the calling thread applies worker 0's slice, and
+T-1 threads spawned once per experiment apply the rest, so a one-thread
+run starts no thread.  A barrier separates each update phase from the
+analytics that reads the store.
 
 Per-vertex routing keeps results reproducible: every half-operation for a
 vertex goes to that vertex's owner worker, and each worker applies its
@@ -41,8 +43,9 @@ DEFAULT_SOURCE = 0  # the vertex bfs and sssp start from
 # Threshold values exercised by sweep mode.
 TH1_SWEEP = (8, 16, 32, 64, 128, 256, 512)
 
-# Upper bound on update worker threads, checked before any starts. Each is
-# an OS thread, and under the GIL more of them add no update throughput.
+# Upper bound on update workers, checked before any thread starts. The
+# caller is worker 0 and each other worker is an OS thread, and under the
+# GIL more of them add no update throughput.
 MAX_THREADS = 64
 
 # float64 holds every integer up to 2^53 exactly; sssp distances are float64.
@@ -146,22 +149,23 @@ def apply_ops(store, insert: bool, vs, ns, ps, sides) -> int:
 
 
 class WorkerSet:
-    """Long-lived update workers, one op queue each.
+    """The update workers of one experiment: the caller and T-1 threads.
 
-    Spawned once per experiment.  apply() submits a routed batch and blocks
-    until every worker has drained its slice; that return is the barrier
-    between the update phase and the analytics phase.
+    The calling thread is worker 0 and applies slice 0 itself; threads for
+    slices 1..T-1, one op queue each, are spawned once per experiment, so a
+    one-thread run starts none.  apply() queues slices 1..T-1, applies
+    slice 0, then blocks until every thread has drained its slice; that
+    return is the barrier between the update phase and the analytics phase.
     """
 
     def __init__(self, store, num_threads: int):
         self.store = store
-        self.num_threads = num_threads
-        self._queues = [SimpleQueue() for _ in range(num_threads)]
+        self._queues = [SimpleQueue() for _ in range(num_threads - 1)]
         self._done: SimpleQueue = SimpleQueue()
         self._threads = [
             threading.Thread(target=self._loop, args=(q,), daemon=True,
                              name=f"bench-worker-{i}")
-            for i, q in enumerate(self._queues)
+            for i, q in enumerate(self._queues, 1)
         ]
         for t in self._threads:
             t.start()
@@ -180,12 +184,17 @@ class WorkerSet:
     def apply(self, insert: bool, routed) -> int:
         """Run one routed batch; returns the workers' summed overwrite count."""
         pending = 0
-        for w, (vs, ns, ps, sides) in enumerate(routed):
+        for q, (vs, ns, ps, sides) in zip(self._queues, routed[1:]):
             if len(vs):
-                self._queues[w].put((insert, vs, ns, ps, sides))
+                q.put((insert, vs, ns, ps, sides))
                 pending += 1
         overwrites = 0
         failure = None
+        if len(routed[0][0]):
+            try:
+                overwrites = apply_ops(self.store, insert, *routed[0])
+            except BaseException as exc:  # raised once the threads drain
+                failure = exc
         for _ in range(pending):
             res = self._done.get()
             if isinstance(res, BaseException):

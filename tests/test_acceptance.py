@@ -3,7 +3,7 @@
 Each test prints a `criterion N: PASS/FAIL` line with the measured numbers
 (visible with -rA or on failure) and asserts the stated tolerance. The
 throughput tests share one measurement matrix (median of 3 runs per format
-per graph, 4 worker threads) through a module fixture, so the suite pays the
+per graph, 4 update workers) through a module fixture, so the suite pays the
 benchmark cost once.
 
 Known red: the short-tailed update ratio against AdListChunked sits around

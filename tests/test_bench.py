@@ -259,6 +259,63 @@ def test_worker_errors_surface():
     assert store.has_edge(1, 2)
 
 
+def test_one_worker_starts_no_thread():
+    before = threading.active_count()
+    store = TangoStore(Config(), 8, num_threads=1)
+    ws = WorkerSet(store, 1)
+    try:
+        assert threading.active_count() == before
+        ws.apply(True, route_batch(np.array([1]), np.array([2]), None,
+                                   directed=False, num_threads=1))
+        assert threading.active_count() == before
+    finally:
+        ws.close()
+    assert store.has_edge(1, 2)
+
+
+def test_caller_owns_pool_0_and_a_thread_owns_pool_1():
+    # Ten edges take vertices 1 and 600 past th0, so each allocates from its
+    # partition's pool; the debug pool records the allocating thread.
+    store = TangoStore(Config(), 1024, num_threads=2, debug=True)
+    srcs = np.array([1] * 10 + [600] * 10)
+    dsts = np.concatenate([np.arange(100, 110), np.arange(700, 710)])
+    ws = WorkerSet(store, 2)
+    try:
+        ws.apply(True, route_batch(srcs, dsts, None, directed=False, num_threads=2))
+    finally:
+        ws.close()
+    owners = [p._owner for p in store.pools]
+    assert owners[0] == threading.get_ident()
+    assert owners[1] is not None and owners[1] != owners[0]
+
+
+@pytest.mark.parametrize("bad_slice", [0, 1])
+def test_failed_batch_leaves_no_stale_result(bad_slice):
+    # Vertex 1 is worker 0's and vertex 600 worker 1's.  The good slice of
+    # the failing batch overwrites (600, 1) or (1, 600) twice, so a result
+    # left behind would be read by the next apply in place of its own.
+    store = TangoStore(Config(weighted=True), 1024, num_threads=2)
+    ws = WorkerSet(store, 2)
+
+    def reweight(w):
+        return route_batch(np.array([1]), np.array([600]), np.array([w]),
+                           directed=False, num_threads=2)
+
+    try:
+        assert ws.apply(True, reweight(5)) == 0
+        routed = reweight(7)
+        good = routed[1 - bad_slice]
+        routed[1 - bad_slice] = tuple(np.repeat(a, 2) for a in good)
+        routed[bad_slice] = (np.array([5000]), np.array([0]), np.array([1]),
+                             np.array([0], dtype=np.uint8))
+        with pytest.raises(IndexError):
+            ws.apply(True, routed)
+        assert ws.apply(True, reweight(9)) == 2
+    finally:
+        ws.close()
+    assert store.get_edge_prop(1, 600) == store.get_edge_prop(600, 1) == 9
+
+
 # -- run_experiment ----------------------------------------------------------
 
 
@@ -854,6 +911,20 @@ def test_cli_memory_error_exits_2(monkeypatch, capsys):
     assert rc == 2
     assert capsys.readouterr().err == \
         "graphtango-bench: error: Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_cli_negative_seed_exits_2_before_any_data(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data was built before the seed check")
+
+    monkeypatch.setattr(cli, "gen_synthetic", refuse)
+    monkeypatch.setattr(cli, "load_snap", refuse)
+    snap = write(tmp_path, "0 1\n")
+    for source in (["--synthetic", "short", "--vertices", "10", "--edges", "100"],
+                   ["--input", str(snap)]):
+        assert main(source + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "graphtango-bench: error: --seed must be >= 0, got -1\n"
 
 
 def test_cli_threads_above_cap_exits_2(monkeypatch, capsys):
