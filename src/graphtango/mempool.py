@@ -1,13 +1,14 @@
 """Power-of-two free-list memory pool over page-aligned blocks.
 
 The pool hands out chunks of 2**k bytes (k in [3, 48]) carved from large
-page-aligned blocks. Freed chunks of each class form an intrusive LIFO list:
-the first 8 bytes of a free chunk hold the virtual address of the next free
-chunk, so the pool itself keeps no per-chunk headers and both allocate and
-free are a couple of loads and stores. When that list is empty, a bump
-pointer hands out the class's never-used chunks from the front of its newest
-block in ascending order, so a fresh block's pages stay untouched (and
-unfaulted) until its chunks are first used.
+page-aligned blocks, each a private anonymous memory mapping. Freed chunks
+of each class form an intrusive LIFO list: the first 8 bytes of a free
+chunk hold the virtual address of the next free chunk, so the pool itself
+keeps no per-chunk headers and both allocate and free are a couple of loads
+and stores. When that list is empty, a bump pointer hands out the class's
+never-used chunks from the front of its newest block in ascending order, so
+a fresh block's pages stay untouched (and unfaulted) until its chunks are
+first used.
 
 Chunk handles are integers in a per-pool virtual address space: block b
 (1-based) covers [b << 48, b << 48 | block_size). Address 0 is the null
@@ -22,6 +23,7 @@ call comes from that thread.
 
 from __future__ import annotations
 
+import mmap
 import threading
 
 import numpy as np
@@ -71,13 +73,20 @@ def alloc_aligned(size: int, alignment: int = PAGE_BYTES) -> np.ndarray:
 
 
 class _Block:
+    # The block is a private anonymous mapping: page-aligned, zeroed, and
+    # resident only in the pages its chunks have touched. A numpy buffer
+    # would not do: numpy marks buffers of 4 MiB or more for transparent
+    # huge pages, so one touched chunk could make 2 MiB resident or not,
+    # as the host has a free huge page or not. The views keep the mapping
+    # alive; it is unmapped when the last of them goes.
     # mv aliases the same buffer as u64; free-list link words and the views
     # allocate_words hands out go through it because a memoryview scalar is
     # about half the cost of a numpy one.
     __slots__ = ("bytes8", "u64", "mv", "shadow", "klass")
 
     def __init__(self, size: int, klass: int, debug: bool):
-        self.bytes8 = alloc_aligned(size)
+        self.bytes8 = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
+                                    dtype=np.uint8)
         self.u64 = self.bytes8.view(np.uint64)
         self.mv = memoryview(self.bytes8).cast("Q")
         self.klass = klass

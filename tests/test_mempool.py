@@ -1,3 +1,4 @@
+import os
 import threading
 from array import array
 
@@ -133,6 +134,31 @@ def test_chunk_alignment():
     for size in (8, 64, 128, 4096, 1 << 16):
         addr = pool.allocate(size)
         assert pool.real_pointer(addr) % min(size, PAGE_BYTES) == 0
+
+
+def _vm_flags(ptr: int) -> list:
+    """VmFlags of the mapping that holds machine address ptr (Linux)."""
+    inside = False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split(maxsplit=1)[0]
+            if "-" in head and not head.endswith(":"):
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                inside = lo <= ptr < hi
+            elif inside and head == "VmFlags:":
+                return line.split()[1:]
+    raise AssertionError(f"no mapping holds {ptr:#x}")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux smaps")
+def test_blocks_are_not_marked_for_huge_pages():
+    # A block marked for transparent huge pages (numpy marks every buffer
+    # of 4 MiB or more) could make 2 MiB resident for its first chunk, or
+    # 4 KiB, as the host has a free huge page or not.
+    pool = MemoryPool()
+    addr = pool.allocate(64)
+    assert pool.stats()["bytes_reserved"] == 4 << 20
+    assert "hg" not in _vm_flags(pool.real_pointer(addr))
 
 
 def test_fresh_chunks_are_distinct_until_freed():
