@@ -155,6 +155,21 @@ def _check_source(snap: Snapshot, source: int) -> None:
         raise VertexRangeError(f"source {source} outside [0, {snap.num_vertices})")
 
 
+def _distances(name: str, snap: Snapshot, source: int, costs, prev, new_edges) -> KernelResult:
+    """Distances from source over edges of the given costs, a scalar or one
+    per CSR entry; new_edges is (srcs, dsts, their costs) or None."""
+    csr = (snap.indptr, snap.indices, costs)
+    if prev is not None and new_edges is not None:
+        values = prev.copy()
+        frontier = _seed_from_edges(values, *new_edges, symmetric=not snap.directed)
+        rounds = _min_relax([csr], values, frontier)
+        return KernelResult(name, values, rounds, "incremental")
+    values = np.full(snap.num_vertices, np.inf)
+    values[source] = 0.0
+    rounds = _min_relax([csr], values, np.array([source]))
+    return KernelResult(name, values, rounds, "full")
+
+
 def run_bfs(snap: Snapshot, source: int, prev: np.ndarray | None = None,
             new_edges=None) -> KernelResult:
     """Hop distances from source; unreachable vertices hold inf.
@@ -164,17 +179,8 @@ def run_bfs(snap: Snapshot, source: int, prev: np.ndarray | None = None,
     Valid only for edges being added: deletions need a full run (prev=None).
     """
     _check_source(snap, source)
-    csr = (snap.indptr, snap.indices, 1.0)
-    if prev is not None and new_edges is not None:
-        values = prev.copy()
-        frontier = _seed_from_edges(values, new_edges[0], new_edges[1], 1.0,
-                                    symmetric=not snap.directed)
-        rounds = _min_relax([csr], values, frontier)
-        return KernelResult("bfs", values, rounds, "incremental")
-    values = np.full(snap.num_vertices, np.inf)
-    values[source] = 0.0
-    rounds = _min_relax([csr], values, np.array([source]))
-    return KernelResult("bfs", values, rounds, "full")
+    return _distances("bfs", snap, source, 1.0, prev,
+                      None if new_edges is None else (*new_edges, 1.0))
 
 
 def run_sssp(snap: Snapshot, source: int, prev: np.ndarray | None = None,
@@ -188,19 +194,7 @@ def run_sssp(snap: Snapshot, source: int, prev: np.ndarray | None = None,
     _check_source(snap, source)
     if snap.weights is None:
         raise ValueError("sssp needs a weighted snapshot")
-    csr = (snap.indptr, snap.indices, snap.weights)
-    if prev is not None and new_edges is not None:
-        values = prev.copy()
-        srcs, dsts, w = new_edges
-        frontier = _seed_from_edges(values, srcs, dsts,
-                                    np.asarray(w, dtype=np.float64),
-                                    symmetric=not snap.directed)
-        rounds = _min_relax([csr], values, frontier)
-        return KernelResult("sssp", values, rounds, "incremental")
-    values = np.full(snap.num_vertices, np.inf)
-    values[source] = 0.0
-    rounds = _min_relax([csr], values, np.array([source]))
-    return KernelResult("sssp", values, rounds, "full")
+    return _distances("sssp", snap, source, snap.weights, prev, new_edges)
 
 
 def run_cc(snap: Snapshot, prev: np.ndarray | None = None,

@@ -12,6 +12,7 @@ from .harness import (
     DEFAULT_BATCH_SIZE,
     FORMATS,
     MAX_THREADS,
+    check_run_args,
     emit_report,
     emit_sweep_report,
     run_experiment,
@@ -106,14 +107,16 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if args.sweep_th1 and args.format != "tango":
+            raise ValueError("--sweep-th1 applies to the tango format only")
+        algorithms = _parse_algorithms(args.algorithms)
+        check_run_args(args.format, algorithms, weighted=args.weighted,
+                       batch_size=args.batch_size, num_threads=args.threads)
         cfg = Config(weighted=args.weighted, directed=args.directed, th1=args.th1)
         el = _build_dataset(args, cfg)
-        algorithms = _parse_algorithms(args.algorithms)
         meta = {"dataset": el.source_name, "seed": args.seed}
 
         if args.sweep_th1:
-            if args.format != "tango":
-                raise ValueError("--sweep-th1 applies to the tango format only")
             rows = run_th1_sweep(el, algorithms=algorithms,
                                  batch_size=args.batch_size,
                                  num_threads=args.threads)
@@ -127,7 +130,7 @@ def main(argv=None) -> int:
             return 0
 
         reports, summary = run_experiment(
-            el, args.format, config=cfg, algorithms=algorithms,
+            el, args.format, th1=args.th1, algorithms=algorithms,
             batch_size=args.batch_size, num_threads=args.threads)
         if args.report:
             emit_report(reports, summary, args.report, extra_meta=meta)

@@ -3,10 +3,11 @@
 An experiment inserts the whole edge list in fixed-size batches, runs every
 requested algorithm after each batch, then deletes in batches of the same
 size until the store is empty, again with analytics per batch.  Updates are
-applied by T workers: the calling thread applies worker 0's slice, and
-T-1 threads spawned once per experiment apply the rest, so a one-thread
-run starts no thread.  A barrier separates each update phase from the
-analytics that reads the store.
+applied by T workers: the calling thread applies worker 0's slice, and each
+of workers 1..T-1 is a one-thread executor whose thread starts on its first
+slice, so a one-worker run starts no thread.  A barrier separates each
+update phase from the analytics that reads the store.  Bad arguments are
+refused before any data is built.
 
 Per-vertex routing keeps results reproducible: every half-operation for a
 vertex goes to that vertex's owner worker, and each worker applies its
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 from time import perf_counter
 
 import numpy as np
@@ -31,11 +31,13 @@ import numpy as np
 from ..analytics import (_PR_DAMPING, _PR_MAX_ITERS, _PR_TOL, KERNELS, build_snapshot,
                          run_bfs, run_cc, run_pr, run_sssp)
 from ..baseline import AdListChunked, AdListShared
-from ..core import Config, partition_of
+from ..core import DEFAULT_TH1, Config, partition_of
 from ..store import TangoStore
 from .data import EdgeList
 
-FORMATS = ("tango", "adlist-shared", "adlist-chunked")
+_STORES = {"tango": TangoStore, "adlist-shared": AdListShared,
+           "adlist-chunked": AdListChunked}
+FORMATS = tuple(_STORES)
 
 DEFAULT_BATCH_SIZE = 100_000
 DEFAULT_SOURCE = 0  # the vertex bfs and sssp start from
@@ -43,9 +45,9 @@ DEFAULT_SOURCE = 0  # the vertex bfs and sssp start from
 # Threshold values exercised by sweep mode.
 TH1_SWEEP = (8, 16, 32, 64, 128, 256, 512)
 
-# Upper bound on update workers, checked before any thread starts. The
-# caller is worker 0 and each other worker is an OS thread, and under the
-# GIL more of them add no update throughput.
+# Upper bound on update workers, checked before any data is built or any
+# thread starts. The caller is worker 0 and each other worker runs on an OS
+# thread of its own, and under the GIL more of them add no update throughput.
 MAX_THREADS = 64
 
 # float64 holds every integer up to 2^53 exactly; sssp distances are float64.
@@ -53,13 +55,7 @@ MAX_EXACT_WEIGHT = 2**53
 
 
 def make_store(fmt: str, config: Config, num_vertices: int, num_threads: int = 1):
-    if fmt == "tango":
-        return TangoStore(config, num_vertices, num_threads)
-    if fmt == "adlist-shared":
-        return AdListShared(config, num_vertices, num_threads)
-    if fmt == "adlist-chunked":
-        return AdListChunked(config, num_vertices, num_threads)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _STORES[fmt](config, num_vertices, num_threads)
 
 
 def geomean(values) -> float:
@@ -149,67 +145,36 @@ def apply_ops(store, insert: bool, vs, ns, ps, sides) -> int:
 
 
 class WorkerSet:
-    """The update workers of one experiment: the caller and T-1 threads.
+    """The update workers of one experiment: the caller and T-1 executors.
 
-    The calling thread is worker 0 and applies slice 0 itself; threads for
-    slices 1..T-1, one op queue each, are spawned once per experiment, so a
-    one-thread run starts none.  apply() queues slices 1..T-1, applies
-    slice 0, then blocks until every thread has drained its slice; that
-    return is the barrier between the update phase and the analytics phase.
+    The caller is worker 0 and applies slice 0 itself.  Slices 1..T-1 each
+    go to a one-thread executor of their own, which starts its thread on its
+    first slice, so a partition's slices always run on the thread that owns
+    its pool.  apply() returns once every slice is done, even when one
+    failed: the barrier between the update and the analytics phase.
     """
 
     def __init__(self, store, num_threads: int):
         self.store = store
-        self._queues = [SimpleQueue() for _ in range(num_threads - 1)]
-        self._done: SimpleQueue = SimpleQueue()
-        self._threads = [
-            threading.Thread(target=self._loop, args=(q,), daemon=True,
-                             name=f"bench-worker-{i}")
-            for i, q in enumerate(self._queues, 1)
-        ]
-        for t in self._threads:
-            t.start()
-
-    def _loop(self, q: SimpleQueue) -> None:
-        store = self.store
-        while True:
-            item = q.get()
-            if item is None:
-                return
-            try:
-                self._done.put(apply_ops(store, *item))
-            except BaseException as exc:  # surfaced by apply()
-                self._done.put(exc)
+        self._executors = [ThreadPoolExecutor(1, f"bench-worker-{i}")
+                           for i in range(1, num_threads)]
 
     def apply(self, insert: bool, routed) -> int:
-        """Run one routed batch; returns the workers' summed overwrite count."""
-        pending = 0
-        for q, (vs, ns, ps, sides) in zip(self._queues, routed[1:]):
-            if len(vs):
-                q.put((insert, vs, ns, ps, sides))
-                pending += 1
-        overwrites = 0
-        failure = None
-        if len(routed[0][0]):
-            try:
-                overwrites = apply_ops(self.store, insert, *routed[0])
-            except BaseException as exc:  # raised once the threads drain
-                failure = exc
-        for _ in range(pending):
-            res = self._done.get()
-            if isinstance(res, BaseException):
-                failure = failure or res
-            else:
-                overwrites += res
-        if failure is not None:
-            raise failure
-        return overwrites
+        """Run one routed batch; returns the workers' summed overwrite count.
+        A failed slice raises once all are done, the first in slice order."""
+        # Looked up per call, so a wrapper set on the global sees every slice.
+        futures = [ex.submit(apply_ops, self.store, insert, *ops)
+                   for ex, ops in zip(self._executors, routed[1:]) if len(ops[0])]
+        try:
+            overwrites = apply_ops(self.store, insert, *routed[0]) if len(routed[0][0]) else 0
+        finally:
+            for f in futures:
+                f.exception()
+        return overwrites + sum(f.result() for f in futures)
 
     def close(self) -> None:
-        for q in self._queues:
-            q.put(None)
-        for t in self._threads:
-            t.join()
+        for ex in self._executors:
+            ex.shutdown()
 
 
 # -- per-batch and per-experiment records ------------------------------------
@@ -304,36 +269,18 @@ def _hist_delta(new: dict, old: dict) -> dict:
 # -- the experiment ----------------------------------------------------------
 
 
-def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = None,
-                   algorithms=("bfs", "pr"), batch_size: int = DEFAULT_BATCH_SIZE,
-                   num_threads: int = 1, collect_values: bool = False):
-    """Run the insert-all / delete-all batched experiment on one store format.
-
-    Analytics run after every batch: incrementally on insert batches once a
-    previous result exists (the batch's edges seed the recomputation), from
-    scratch on delete batches and, for sssp, on insert batches that
-    re-weighted an existing edge, with PageRank always warm-started from the
-    previous ranks.  Snapshot construction is counted as analytics time.
-
-    Returns (reports, summary); with collect_values also a per-batch list of
-    {algorithm: values} arrays for differential testing.
-    """
-    if config is None:
-        config = Config(weighted=el.weighted, directed=el.directed)
-    if config.weighted != el.weighted:
-        raise ValueError("config.weighted does not match the edge list")
-    if config.directed != el.directed:
-        raise ValueError("config.directed does not match the edge list")
+def check_run_args(fmt: str, algorithms, *, weighted: bool, batch_size: int,
+                   num_threads: int) -> None:
+    """Refuse every run_experiment argument that is wrong whatever the data."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     for i, name in enumerate(algorithms):
         if name not in KERNELS:
             raise ValueError(f"unknown algorithm {name!r}; expected one of {KERNELS}")
         if name in algorithms[:i]:
             raise ValueError(f"algorithm {name!r} given twice")
-    if "sssp" in algorithms and not el.weighted:
+    if "sssp" in algorithms and not weighted:
         raise ValueError("sssp requires a weighted edge list")
-    if "sssp" in algorithms and el.num_edges and el.weights.max() > MAX_EXACT_WEIGHT:
-        raise ValueError(f"sssp needs weights <= 2^53 (float64 distances round "
-                         f"larger ones); the edge list holds {el.weights.max()}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if num_threads < 1:
@@ -341,6 +288,29 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, config: Config | None = 
     if num_threads > MAX_THREADS:
         raise ValueError(f"num_threads {num_threads} exceeds MAX_THREADS {MAX_THREADS}")
 
+
+def run_experiment(el: EdgeList, fmt: str = "tango", *, th1: int = DEFAULT_TH1,
+                   algorithms=("bfs", "pr"), batch_size: int = DEFAULT_BATCH_SIZE,
+                   num_threads: int = 1, collect_values: bool = False):
+    """Run the insert-all / delete-all batched experiment on one store format.
+
+    The store is weighted and directed as the edge list is, with hash
+    threshold th1.  Analytics run after every batch: incrementally on insert
+    batches once a previous result exists (the batch's edges seed the
+    recomputation), from scratch on delete batches and, for sssp, on insert
+    batches that re-weighted an existing edge, with PageRank always
+    warm-started from the previous ranks.  Snapshot construction is counted
+    as analytics time.
+
+    Returns (reports, summary); with collect_values also a per-batch list of
+    {algorithm: values} arrays for differential testing.
+    """
+    check_run_args(fmt, algorithms, weighted=el.weighted, batch_size=batch_size,
+                   num_threads=num_threads)
+    if "sssp" in algorithms and el.num_edges and el.weights.max() > MAX_EXACT_WEIGHT:
+        raise ValueError(f"sssp needs weights <= 2^53 (float64 distances round "
+                         f"larger ones); the edge list holds {el.weights.max()}")
+    config = Config(weighted=el.weighted, directed=el.directed, th1=th1)
     store = make_store(fmt, config, el.num_vertices, num_threads)
     workers = WorkerSet(store, num_threads)
     need_in = config.directed and "cc" in algorithms
@@ -441,9 +411,8 @@ def run_th1_sweep(el: EdgeList, *, algorithms=("bfs",),
     """
     rows = []
     for th1 in th1_values:
-        config = Config(weighted=el.weighted, directed=el.directed, th1=th1)
         reports, summary = run_experiment(
-            el, "tango", config=config, algorithms=algorithms,
+            el, "tango", th1=th1, algorithms=algorithms,
             batch_size=batch_size, num_threads=num_threads)
         ins = [r for r in reports if r.phase == "insert"]
         bpe = [r.bytes_per_edge for r in ins if not math.isnan(r.bytes_per_edge)]

@@ -61,34 +61,30 @@ def size_class(size: int) -> int:
     return MIN_CLASS if k < MIN_CLASS else k
 
 
-def alloc_aligned(size: int, alignment: int = PAGE_BYTES) -> np.ndarray:
-    """Zeroed uint8 array of `size` bytes whose data pointer is aligned.
+def map_words(nbytes: int) -> tuple[np.ndarray, memoryview]:
+    """nbytes of zeroed, page-aligned memory as a uint64 array and a 'Q'
+    memoryview of the same words.
 
-    numpy gives no alignment promises, so over-allocate and slice; the view
-    keeps the backing buffer alive.
+    The memory is a private anonymous mapping, resident only in the pages
+    that have been touched. A numpy buffer would not do: numpy marks buffers
+    of 4 MiB or more for transparent huge pages, so one touched word could
+    make 2 MiB resident or 4 KiB, as the host has a free huge page or not.
+    mmap refuses length 0, so at least one page is mapped. The array and
+    the view keep the mapping alive; it is unmapped when both are gone.
     """
-    raw = np.zeros(size + alignment, dtype=np.uint8)
-    shift = (-raw.ctypes.data) % alignment
-    return raw[shift:shift + size]
+    buf = mmap.mmap(-1, max(nbytes, PAGE_BYTES), flags=mmap.MAP_PRIVATE)
+    n = nbytes >> 3
+    return np.frombuffer(buf, dtype=np.uint64, count=n), memoryview(buf).cast("Q")[:n]
 
 
 class _Block:
-    # The block is a private anonymous mapping: page-aligned, zeroed, and
-    # resident only in the pages its chunks have touched. A numpy buffer
-    # would not do: numpy marks buffers of 4 MiB or more for transparent
-    # huge pages, so one touched chunk could make 2 MiB resident or not,
-    # as the host has a free huge page or not. The views keep the mapping
-    # alive; it is unmapped when the last of them goes.
-    # mv aliases the same buffer as u64; free-list link words and the views
+    # mv aliases the same words as u64; free-list link words and the views
     # allocate_words hands out go through it because a memoryview scalar is
     # about half the cost of a numpy one.
-    __slots__ = ("bytes8", "u64", "mv", "shadow", "klass")
+    __slots__ = ("u64", "mv", "shadow", "klass")
 
     def __init__(self, size: int, klass: int, debug: bool):
-        self.bytes8 = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
-                                    dtype=np.uint8)
-        self.u64 = self.bytes8.view(np.uint64)
-        self.mv = memoryview(self.bytes8).cast("Q")
+        self.u64, self.mv = map_words(size)
         self.klass = klass
         self.shadow = np.zeros(size >> 3, dtype=bool) if debug else None
 
@@ -210,7 +206,7 @@ class MemoryPool:
     def real_pointer(self, addr: int) -> int:
         """Machine address of a chunk, for alignment checks."""
         block = self._block_of(addr)
-        return block.bytes8.ctypes.data + (addr & _OFF_MASK)
+        return block.u64.ctypes.data + (addr & _OFF_MASK)
 
     def stats(self) -> dict:
         return {

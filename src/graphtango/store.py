@@ -45,7 +45,7 @@ from .cfhash import CfhTable, ProbeStats
 from .core import IN, OUT  # re-exported: callers import the directions from here
 from .core import (BLOCK_BYTES, CACHE_LINE_BYTES, LINE_WORDS, SCAN_LIMIT,
                    Config, GraphStore, VertexRangeError, partition_of)
-from .mempool import MemoryPool, alloc_aligned
+from .mempool import MemoryPool, map_words
 
 TYPE1 = 1
 TYPE2 = 2
@@ -84,9 +84,7 @@ class _Side:
     __slots__ = ("meta", "mv", "views", "tables")
 
     def __init__(self, num_vertices: int):
-        buf = alloc_aligned(num_vertices * CACHE_LINE_BYTES)
-        self.meta = buf.view(np.uint64)
-        self.mv = memoryview(buf).cast("Q")
+        self.meta, self.mv = map_words(num_vertices * CACHE_LINE_BYTES)
         self.views: list = [None] * num_vertices
         self.tables: list = [None] * num_vertices
 

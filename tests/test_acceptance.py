@@ -372,7 +372,6 @@ def _batch_max_degree(el) -> int:
 @pytest.fixture(scope="module")
 def bench_matrix():
     """Median-of-3 update/analytics/memory numbers for every format and graph."""
-    cfg = Config()
     out = {}
     for kind in ("heavy", "short"):
         el = shuffle(gen_synthetic(kind, BENCH_V, BENCH_E, 42), 42)
@@ -384,7 +383,7 @@ def bench_matrix():
         for _ in range(3):
             for fmt in formats:
                 reports, summary = run_experiment(
-                    el, fmt, config=cfg, algorithms=("bfs", "pr"),
+                    el, fmt, algorithms=("bfs", "pr"),
                     batch_size=BENCH_BATCH, num_threads=BENCH_THREADS)
                 runs[fmt]["update"].append(geomean([r.edges_per_s for r in reports]))
                 runs[fmt]["analytics"].append(summary.analytics_geomean_eps)

@@ -271,19 +271,46 @@ def test_one_worker_starts_no_thread():
     finally:
         ws.close()
     assert store.has_edge(1, 2)
+    # Three workers start two threads, and close() ends them: worker
+    # threads are not daemons, so one left running would block exit.
+    store = TangoStore(Config(), 2048, num_threads=3)
+    ws = WorkerSet(store, 3)
+    try:
+        ws.apply(True, route_batch(np.array([1, 600]), np.array([1100, 1101]), None,
+                                   directed=False, num_threads=3))
+        assert threading.active_count() == before + 2
+    finally:
+        ws.close()
+    assert threading.active_count() == before
+    assert store.has_edge(1, 1100) and store.has_edge(600, 1101)
+
+
+def test_refuse_threads_catches_a_worker_thread(monkeypatch):
+    refuse_threads(monkeypatch)
+    ws = WorkerSet(TangoStore(Config(), 1024, num_threads=2), 2)
+    try:
+        with pytest.raises(AssertionError, match="a thread or store was built"):
+            ws.apply(True, route_batch(np.array([1]), np.array([600]), None,
+                                       directed=False, num_threads=2))
+    finally:
+        ws.close()
 
 
 def test_caller_owns_pool_0_and_a_thread_owns_pool_1():
-    # Ten edges take vertices 1 and 600 past th0, so each allocates from its
-    # partition's pool; the debug pool records the allocating thread.
+    # Each batch's ten edges take one vertex of each partition past th0, so
+    # each allocates from its partition's pool. The debug pool records the
+    # allocating thread and raises PoolError if another one allocates, so
+    # the second batch fails if slice 1 moves to a second thread.
     store = TangoStore(Config(), 1024, num_threads=2, debug=True)
-    srcs = np.array([1] * 10 + [600] * 10)
-    dsts = np.concatenate([np.arange(100, 110), np.arange(700, 710)])
     ws = WorkerSet(store, 2)
     try:
-        ws.apply(True, route_batch(srcs, dsts, None, directed=False, num_threads=2))
+        for a, b in ((1, 600), (2, 601)):
+            srcs = np.array([a] * 10 + [b] * 10)
+            dsts = np.concatenate([np.arange(100, 110), np.arange(700, 710)])
+            ws.apply(True, route_batch(srcs, dsts, None, directed=False, num_threads=2))
     finally:
         ws.close()
+    assert store.degree(601) == 10
     owners = [p._owner for p in store.pools]
     assert owners[0] == threading.get_ident()
     assert owners[1] is not None and owners[1] != owners[0]
@@ -538,8 +565,6 @@ def test_experiment_validation_errors():
     with pytest.raises(ValueError):
         run_experiment(el, "tango", algorithms=("sssp",))  # unweighted list
     with pytest.raises(ValueError):
-        run_experiment(el, "tango", config=Config(weighted=True))
-    with pytest.raises(ValueError):
         run_experiment(el, "tango", batch_size=0)
 
 
@@ -572,7 +597,7 @@ def test_routing_and_pools_share_one_owner_map(monkeypatch):
 
     monkeypatch.setattr(harness, "make_store", debug_store)
     el = shuffle(gen_synthetic("heavy", 2000, 20000, seed=3), 3)
-    reports, _ = run_experiment(el, "tango", config=Config(th1=8), algorithms=(),
+    reports, _ = run_experiment(el, "tango", th1=8, algorithms=(),
                                 batch_size=5000, num_threads=3)
     assert max(r.hash_bytes for r in reports) > 0  # Type3 hubs built tables
     assert all(p.stats()["num_blocks"] > 0 for p in stores[0].pools)
@@ -671,7 +696,7 @@ def test_probe_histograms_match_golden():
     # move under any change to the slot layout.
     golden = json.loads((Path(__file__).parent / "data" / "heavy_probe_golden.json").read_text())
     el = gen_synthetic("heavy", 2000, 20000, seed=5)
-    reports, _ = run_experiment(el, "tango", config=Config(th1=8), algorithms=(),
+    reports, _ = run_experiment(el, "tango", th1=8, algorithms=(),
                                 batch_size=2000)
     got = [{"phase": r.phase, "live_edges": r.live_edges,
             "probe_insert": {str(d): c for d, c in sorted(r.probe_insert.items())},
@@ -913,18 +938,35 @@ def test_cli_memory_error_exits_2(monkeypatch, capsys):
         "graphtango-bench: error: Unable to allocate 7.28 TiB for an array\n"
 
 
-def test_cli_negative_seed_exits_2_before_any_data(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["--seed", "-1"], "--seed must be >= 0, got -1", id="seed"),
+    pytest.param(["--batch-size", "0"], "batch_size must be >= 1", id="batch-size"),
+    pytest.param(["--algorithms", "bogus"],
+                 f"unknown algorithm 'bogus'; expected one of {KERNELS}",
+                 id="unknown-algorithm"),
+    pytest.param(["--algorithms", "bfs,bfs"], "algorithm 'bfs' given twice",
+                 id="repeated-algorithm"),
+    pytest.param(["--algorithms", "sssp"], "sssp requires a weighted edge list",
+                 id="sssp-unweighted"),
+    pytest.param(["--threads", "0"], "num_threads must be >= 1, got 0", id="threads-0"),
+    pytest.param(["--threads", str(MAX_THREADS + 1)],
+                 f"num_threads {MAX_THREADS + 1} exceeds MAX_THREADS {MAX_THREADS}",
+                 id="threads-above-cap"),
+    pytest.param(["--format", "adlist-shared", "--sweep-th1"],
+                 "--sweep-th1 applies to the tango format only", id="sweep-format"),
+])
+def test_cli_bad_arguments_exit_2_before_any_data(tmp_path, monkeypatch, capsys,
+                                                  argv, message):
     def refuse(*args, **kwargs):
-        raise AssertionError("data was built before the seed check")
+        raise AssertionError("data was built before the argument checks")
 
     monkeypatch.setattr(cli, "gen_synthetic", refuse)
     monkeypatch.setattr(cli, "load_snap", refuse)
     snap = write(tmp_path, "0 1\n")
     for source in (["--synthetic", "short", "--vertices", "10", "--edges", "100"],
                    ["--input", str(snap)]):
-        assert main(source + ["--seed", "-1"]) == 2
-        assert capsys.readouterr().err == \
-            "graphtango-bench: error: --seed must be >= 0, got -1\n"
+        assert main(source + argv) == 2
+        assert capsys.readouterr().err == f"graphtango-bench: error: {message}\n"
 
 
 def test_cli_threads_above_cap_exits_2(monkeypatch, capsys):

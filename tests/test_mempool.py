@@ -5,12 +5,12 @@ from array import array
 import numpy as np
 import pytest
 
+from graphtango import Config, TangoStore
 from graphtango.mempool import (
     NULL,
     PAGE_BYTES,
     MemoryPool,
     PoolError,
-    alloc_aligned,
     size_class,
 )
 
@@ -27,15 +27,6 @@ def test_size_class():
         size_class(0)
     with pytest.raises(ValueError):
         size_class((1 << 48) + 1)
-
-
-def test_alloc_aligned():
-    for size in (64, 100, 4096, 1 << 20):
-        a = alloc_aligned(size)
-        assert a.ctypes.data % PAGE_BYTES == 0
-        assert len(a) == size
-        a = alloc_aligned(size, alignment=64)
-        assert a.ctypes.data % 64 == 0
 
 
 def test_rounding_and_accounting():
@@ -159,6 +150,10 @@ def test_blocks_are_not_marked_for_huge_pages():
     addr = pool.allocate(64)
     assert pool.stats()["bytes_reserved"] == 4 << 20
     assert "hg" not in _vm_flags(pool.real_pointer(addr))
+    # A store's metadata lines: 4 MiB at this vertex count.
+    meta = TangoStore(Config(), 65_536)._sides[0].meta
+    assert meta.ctypes.data % PAGE_BYTES == 0 and meta.nbytes == 4 << 20
+    assert "hg" not in _vm_flags(meta.ctypes.data)
 
 
 def test_fresh_chunks_are_distinct_until_freed():
