@@ -247,23 +247,34 @@ def run_pr(snap: Snapshot, prev: np.ndarray | None = None) -> KernelResult:
     mode = "full" if prev is None else "incremental"
     rank = np.full(V, 1.0 / V) if prev is None else prev.copy()
     base = (1.0 - _PR_DAMPING) / V
-    contrib = np.zeros(V)
-    has_out = outdeg > 0
+    # A vertex without out-edges is repeated 0 times, so dividing its rank
+    # by 1 in place of 0 changes no bit of the result.
+    div = np.maximum(outdeg, 1).astype(np.float64)
+    contrib = np.empty(V)
+    diff = np.empty(V)  # T(x) - x, then Chebyshev's T(x) - x-
     d2 = _PR_DAMPING * _PR_DAMPING
     switch = np.inf if snap.directed else _PR_DAMPING / (1.0 + np.sqrt(1.0 - d2))
     last = np.inf
     older = None  # x- once the loop runs Chebyshev
     omega = 1.0
     for it in range(1, _PR_MAX_ITERS + 1):
-        np.divide(rank, outdeg, out=contrib, where=has_out)
-        acc = np.bincount(snap.indices, weights=np.repeat(contrib, outdeg), minlength=V)
-        new = base + _PR_DAMPING * acc
-        delta = float(np.abs(new - rank).sum())
+        np.divide(rank, div, out=contrib)
+        # bincount of no edges returns int64 even with float weights
+        new = np.bincount(snap.indices, weights=np.repeat(contrib, outdeg),
+                          minlength=V).astype(np.float64, copy=False)
+        new *= _PR_DAMPING
+        new += base
+        np.subtract(new, rank, out=diff)
+        np.abs(diff, out=diff)
+        delta = float(diff.sum())
         if delta < _PR_TOL:
             break
         if older is not None:
             omega = 2.0 / (2.0 - d2) if omega == 1.0 else 1.0 / (1.0 - d2 * omega / 4.0)
-            rank, older = older + omega * (new - older), rank
+            np.subtract(new, older, out=diff)
+            diff *= omega
+            older += diff  # x- + w*(T(x) - x-), in x-'s buffer
+            rank, older = older, rank
         else:
             if delta > switch * last:
                 older = rank  # this plain step is Chebyshev's first

@@ -186,11 +186,14 @@ class MemoryPool:
         self.bytes_in_use -= 1 << k
 
     def gather(self, addrs: np.ndarray) -> np.ndarray:
-        """uint64 word at each byte address in addrs, an ascending int64 array.
+        """uint64 word at each byte address in addrs, an int64 array whose
+        addresses come grouped by block in ascending block order, in any
+        order within a block.
 
         The vectorized read of words that allocate_words views one chunk at a
-        time. Ascending addresses come grouped by block, so each block serves
-        one run with one numpy gather.
+        time. Every address of block b - 1 lies below b << 48, so a binary
+        search for those bounds splits addrs into one run per block, and one
+        bounds-checked numpy gather reads each run.
         """
         ends = np.searchsorted(addrs, np.arange(2, len(self._blocks) + 2) << _ADDR_SHIFT)
         out = np.empty(len(addrs), dtype=np.uint64)
@@ -199,7 +202,7 @@ class MemoryPool:
             if hi > lo:
                 words = addrs[lo:hi] & _OFF_MASK
                 words >>= 3
-                np.take(block.u64, words, out=out[lo:hi])
+                out[lo:hi] = block.u64[words]
             lo = hi
         return out
 

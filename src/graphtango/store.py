@@ -317,8 +317,10 @@ class TangoStore(GraphStore):
         Rows keep storage order, so the arrays equal a walk of neighbors()
         and neighbor_props(): int64 indices, float64 weights. A vertex's
         edge words start in its own meta line (Type1) or at the chunk handle
-        held there (Type2/3); one numpy gather per meta array or pool block
-        reads them all. Hash tables are never touched.
+        held there (Type2/3). The rows are visited grouped by the buffer
+        that holds them, the meta array first and then each pool block in
+        ascending order, so one numpy gather per buffer reads its words and
+        one more puts them back in row order. Hash tables are never touched.
         """
         V, L, step = self.num_vertices, LINE_WORDS, 8 * self._ew
         meta = self._sides[side].meta
@@ -327,42 +329,40 @@ class TangoStore(GraphStore):
         indptr = np.zeros(V + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         total = int(indptr[-1])
-        # Byte address of each row's first edge word, and the buffer that
-        # holds it: 0 for the meta array, p + 1 for pool p.
+        # Byte address of each row's first edge word, and its buffer's key:
+        # 0 for the meta array, else the row's pool block (a handle's block
+        # is addr >> 48, from 1) numbered on from the blocks of earlier pools.
         inline = deg <= self.th0
         start = np.where(inline, np.arange(8, 8 * V * L, 8 * L),
                          lines[:, _EDGES].astype(np.int64))
-        buf = np.where(inline, 0, partition_of(np.arange(V), self.num_threads) + 1)
-        # Visit rows by buffer, then by address, so each buffer reads one
-        # run of ascending addresses; pos puts every edge back in row order.
-        rows = np.lexsort((start, buf))
+        off = np.cumsum([0] + [p.stats()["num_blocks"] for p in self.pools])
+        key = np.where(inline, 0, off[partition_of(np.arange(V), self.num_threads)]
+                       + (start >> 48))
+        rows = np.argsort(key.astype(np.min_scalar_type(off[-1])), kind="stable")
         cnt = deg[rows]
-        lead = np.cumsum(cnt) - cnt  # visit-order index of each row's first edge
-        # In-place steps keep the edge-sized temporaries few; each one pushes
-        # the interpreter's working set out of cache before the next batch.
-        j = np.arange(total, dtype=np.int64)  # each edge's index in visit order
-        pos = np.repeat(indptr[rows] - lead, cnt)
-        pos += j
-        at = np.repeat(start[rows] - step * lead, cnt)
-        j *= step
-        at += j
-        cuts = np.zeros(self.num_threads + 2, dtype=np.int64)
-        np.cumsum(np.bincount(buf, deg, self.num_threads + 1).astype(np.int64),
-                  out=cuts[1:])
-        indices = np.empty(total, dtype=np.int64)
-        weights = np.empty(total, dtype=np.float64) if with_weights else None
-        for b, (lo, hi) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
-            if lo == hi:
-                continue
-            a, p = at[lo:hi], pos[lo:hi]
-            if b == 0:
-                indices[p] = meta[a >> 3]
-                if with_weights:
-                    weights[p] = meta[(a >> 3) + 1]
-            else:
-                indices[p] = self.pools[b - 1].gather(a)
-                if with_weights:
-                    weights[p] = self.pools[b - 1].gather(a + 8)
+        ends = np.zeros(V + 1, dtype=np.int64)  # k-th visited row: ends[k]:ends[k + 1]
+        np.cumsum(cnt, out=ends[1:])
+        # Each buffer's edges end where the last row with its key ends.
+        cuts = ends[np.searchsorted(key[rows], off, "right")].tolist()
+        at = np.repeat(start[rows] - step * ends[:-1], cnt)
+        at += np.arange(0, step * total, step)  # each edge's address, visit order
+        first = np.empty(V, dtype=np.int64)
+        first[rows] = ends[:-1]
+        back = np.repeat(first - indptr[:-1], deg)
+        back += np.arange(total)  # each edge's visit-order index, row order
+
+        def read(at):  # the word at each address, in visit order
+            vis = np.empty(total, dtype=np.uint64)
+            for b, (lo, hi) in enumerate(zip([0] + cuts, cuts)):
+                if lo < hi:
+                    vis[lo:hi] = (meta[at[lo:hi] >> 3] if b == 0
+                                  else self.pools[b - 1].gather(at[lo:hi]))
+            return vis
+        indices = read(at).view(np.int64)[back]
+        weights = None
+        if with_weights:
+            at += 8  # an edge's property word follows its dst
+            weights = read(at)[back].astype(np.float64)
         return indptr, indices, weights
 
     def has_edge(self, src: int, dst: int) -> bool:

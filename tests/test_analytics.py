@@ -23,7 +23,7 @@ from graphtango.baseline import AdListChunked, AdListShared
 from graphtango.bench.data import gen_synthetic, shuffle
 from graphtango.bench.harness import run_experiment
 from graphtango.core import Config, VertexRangeError
-from graphtango.store import IN, OUT, TangoStore
+from graphtango.store import IN, OUT, TYPE1, TangoStore
 
 
 def random_graph(V, E, seed, weighted=False, directed=False):
@@ -375,6 +375,38 @@ def test_csr_export_of_empty_store(cls, V):
     assert indices.dtype == np.int64 and weights.dtype == np.float64
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_snapshot_is_a_copy(threads):
+    # Later updates must leave a snapshot as it was: a delete that moves the
+    # last edge into the hole, a Type2 -> Type1 downgrade that frees a chunk,
+    # and new chunks that take the freed memory.
+    with small_geometry():
+        cfg = small_config(True, True)
+        store = TangoStore(cfg, 64, threads)
+        hubs = (1, 9)
+        for d in range(cfg.th0 + 3):
+            for h in hubs:
+                store.insert_edge(h, 30 + d, d + 1)
+        store.insert_edge(20, 21, 3)
+        snap = build_snapshot(store, need_in=True)
+        arrays = [snap.indptr, snap.indices, snap.weights, snap.in_indptr, snap.in_indices]
+        kept = [a.copy() for a in arrays]
+        for h in hubs:
+            store.delete_edge(h, 30)
+            assert store.neighbors(h)[0] == 30 + cfg.th0 + 2  # the last edge moved
+            while store.degree(h) > cfg.th0:
+                store.delete_edge(h, int(store.neighbors(h)[-1]))
+            assert store.vertex_kind(h) == TYPE1
+            for d in range(cfg.th0 + 3):
+                store.insert_edge(h + 1, 40 + d, 50 + d)
+        store.insert_edge(20, 21, 4)
+        for a, k in zip(arrays, kept):
+            assert a.dtype == k.dtype and np.array_equal(a, k)
+        buffers = [s.meta for s in store._sides]
+        buffers += [b.u64 for p in store.pools for b in p._blocks]
+        assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_incremental_bfs_matches_full(directed):
     V = 250
@@ -626,3 +658,66 @@ def test_kernels_match_sort_oracle_batch_by_batch(monkeypatch, kind, directed):
         for name in nv:
             assert np.array_equal(nv[name], ov[name]), (new.phase, new.index, name)
     assert modes == {"full", "incremental"}
+
+
+# -- pagerank against its former body ---------------------------------------------
+# run_pr as it was before its steps reused buffers: a fresh array for every
+# intermediate. The kernel must match it bit for bit, rounds included.
+
+
+def oracle_pr(snap, prev=None):
+    V = snap.num_vertices
+    if V == 0:
+        return np.empty(0), 0
+    d = analytics._PR_DAMPING
+    outdeg = snap.out_degrees()
+    rank = np.full(V, 1.0 / V) if prev is None else prev.copy()
+    base = (1.0 - d) / V
+    contrib = np.zeros(V)
+    has_out = outdeg > 0
+    d2 = d * d
+    switch = np.inf if snap.directed else d / (1.0 + np.sqrt(1.0 - d2))
+    last = np.inf
+    older = None
+    omega = 1.0
+    for it in range(1, analytics._PR_MAX_ITERS + 1):
+        np.divide(rank, outdeg, out=contrib, where=has_out)
+        acc = np.bincount(snap.indices, weights=np.repeat(contrib, outdeg), minlength=V)
+        new = base + d * acc
+        delta = float(np.abs(new - rank).sum())
+        if delta < analytics._PR_TOL:
+            break
+        if older is not None:
+            omega = 2.0 / (2.0 - d2) if omega == 1.0 else 1.0 / (1.0 - d2 * omega / 4.0)
+            rank, older = older + omega * (new - older), rank
+        else:
+            if delta > switch * last:
+                older = rank
+            last = delta
+            rank = new
+    return new, it
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_pr_matches_former_body_bit_for_bit(directed):
+    V = 300
+    # Vertices 250.. get no edge at all.
+    edges = [e for e in random_graph(V, 900, seed=31, directed=directed)
+             if max(e[0]) < 250]
+    store = load(TangoStore, V, edges[:500], False, directed)
+    first = build_snapshot(store)
+    for (u, v), _ in edges[500:]:
+        store.insert_edge(u, v)
+    snap = build_snapshot(store)
+    empty = build_snapshot(TangoStore(Config(directed=directed), 7))
+    assert empty.num_edges == 0
+    cases = [(first, None), (snap, None), (snap, run_pr(first).values),
+             (empty, None), (empty, np.full(7, 0.5))]
+    if not directed:  # stalls early, so most of its steps are Chebyshev's
+        cases.append((build_snapshot(forest_with_odd_cycle()), None))
+    for s, prev in cases:
+        want, rounds = oracle_pr(s, prev)
+        got = run_pr(s, prev=prev)
+        assert got.values.dtype == want.dtype
+        assert got.values.tobytes() == want.tobytes()
+        assert got.rounds == rounds

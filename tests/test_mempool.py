@@ -117,6 +117,14 @@ def test_gather_reads_words_across_blocks():
     addrs = sorted(words)
     got = pool.gather(np.array(addrs, dtype=np.int64))
     assert got.dtype == np.uint64 and got.tolist() == [words[a] for a in addrs]
+    # Blocks ascending, addresses in any order within a block.
+    rng = np.random.default_rng(3)
+    mixed = np.array(addrs, dtype=np.int64)
+    for b in np.unique(mixed >> 48).tolist():
+        run = mixed[mixed >> 48 == b]
+        mixed[mixed >> 48 == b] = rng.permutation(run)
+    assert not np.array_equal(mixed, addrs)
+    assert pool.gather(mixed).tolist() == [words[a] for a in mixed.tolist()]
     assert pool.gather(np.empty(0, dtype=np.int64)).tolist() == []
 
 
