@@ -36,7 +36,8 @@ def main():
     # straight into its block, where gather reads it back
     f, view = pool.allocate_words(4)
     view[:] = array("Q", (2, 3, 5, 7))
-    words = pool.gather(np.arange(f, f + 32, 8))
+    words = np.empty(4, dtype=np.uint64)
+    pool.gather(np.arange(f, f + 32, 8), words)
     print(f"allocate_words(4) -> {f:#x}, after write: {words.tolist()}")
 
     s = pool.stats()

@@ -9,7 +9,7 @@ carries the original ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class EdgeList:
     directed: bool
     remap: np.ndarray | None = None
     source_name: str = ""
-    kind: str = "file"
 
     def __post_init__(self):
         self.srcs = np.ascontiguousarray(self.srcs, dtype=np.int64)
@@ -140,7 +139,6 @@ def load_snap(path, *, weighted: bool = False, directed: bool = False) -> EdgeLi
         directed=directed,
         remap=remap,
         source_name=str(path),
-        kind="file",
     )
 
 
@@ -148,16 +146,8 @@ def shuffle(el: EdgeList, seed: int) -> EdgeList:
     """Uniformly permute the edge order. Same seed, same order."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(el.num_edges)
-    return EdgeList(
-        srcs=el.srcs[perm],
-        dsts=el.dsts[perm],
-        weights=el.weights[perm] if el.weights is not None else None,
-        num_vertices=el.num_vertices,
-        directed=el.directed,
-        remap=el.remap,
-        source_name=el.source_name,
-        kind=el.kind,
-    )
+    return replace(el, srcs=el.srcs[perm], dsts=el.dsts[perm],
+                   weights=el.weights[perm] if el.weights is not None else None)
 
 
 def check_synthetic(kind: str, num_vertices: int, num_edges: int) -> str:
@@ -213,5 +203,4 @@ def gen_synthetic(
         directed=directed,
         remap=None,
         source_name=f"{kind}(V={num_vertices},E={num_edges},seed={seed})",
-        kind=kind,
     )

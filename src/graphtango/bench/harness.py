@@ -402,15 +402,14 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, th1: int = DEFAULT_TH1,
 
 
 def run_th1_sweep(el: EdgeList, *, algorithms=("bfs",),
-                  batch_size: int = DEFAULT_BATCH_SIZE, num_threads: int = 1,
-                  th1_values=TH1_SWEEP):
-    """Repeat the experiment on the hybrid store across hash thresholds.
+                  batch_size: int = DEFAULT_BATCH_SIZE, num_threads: int = 1):
+    """Repeat the experiment on the hybrid store at each TH1_SWEEP threshold.
 
     Returns one row per threshold with throughput geomeans, the insert-phase
     mean bytes per edge, and the peak memory footprint.
     """
     rows = []
-    for th1 in th1_values:
+    for th1 in TH1_SWEEP:
         reports, summary = run_experiment(
             el, "tango", th1=th1, algorithms=algorithms,
             batch_size=batch_size, num_threads=num_threads)
@@ -464,6 +463,21 @@ def _num(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
+def _write_csv(path, title: str, meta: dict, columns, rows) -> None:
+    """The one report writer: a title line, one comment line per meta item
+    and the PageRank formula, then a header row and one row per dict, each
+    value through _num. A column a row leaves out is written empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# graphtango-bench {title}\n")
+        for k, v in meta.items():
+            fh.write(f"# {k}: {v}\n")
+        fh.write(f"# {PR_FORMULA_NOTE}\n")
+        writer = csv.DictWriter(fh, columns, restval="")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _num(v) for k, v in row.items()})
+
+
 def emit_report(reports, summary: ExperimentSummary, path, *,
                 extra_meta: dict | None = None) -> None:
     """Write one CSV row per batch plus a summary row.
@@ -483,78 +497,49 @@ def emit_report(reports, summary: ExperimentSummary, path, *,
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# graphtango-bench report\n")
-        for k, v in meta.items():
-            fh.write(f"# {k}: {v}\n")
-        fh.write(f"# {PR_FORMULA_NOTE}\n")
-        writer = csv.DictWriter(fh, REPORT_COLUMNS, restval="")
-        writer.writeheader()
-        for r in reports:
-            row = {
-                "batch": r.index, "phase": r.phase, "edges": r.edges,
-                "seconds": _num(r.seconds), "edges_per_s": _num(r.edges_per_s),
-                "live_edges": _num(r.live_edges), "memory_bytes": r.memory_bytes,
-                "bytes_per_edge": _num(r.bytes_per_edge),
-                "snapshot_s": _num(r.snapshot_seconds),
-                "analytics_s": _num(r.analytics_seconds),
-                "analytics_eps": _num(r.analytics_eps),
-                "probe_insert_hist": _fmt_hist(r.probe_insert),
-                "probe_find_hist": _fmt_hist(r.probe_find),
-                "hash_bytes": r.hash_bytes,
-            }
-            row.update({f"{a}_s": _num(t) for a, t in r.algo_seconds.items()})
-            row.update({f"{a}_rounds": n for a, n in r.algo_rounds.items()})
-            row.update({f"{a}_mode": m for a, m in r.algo_modes.items()})
-            writer.writerow(row)
-        writer.writerow({
-            "batch": "summary", "phase": "summary", "edges": 2 * summary.num_edges,
-            "insert_geomean_eps": _num(summary.insert_geomean_eps),
-            "delete_geomean_eps": _num(summary.delete_geomean_eps),
-            "analytics_geomean_eps": _num(summary.analytics_geomean_eps),
-            "mean_bytes_per_edge": _num(summary.mean_bytes_per_edge),
-            "total_seconds": _num(summary.total_seconds),
-        })
+    rows = []
+    for r in reports:
+        row = {
+            "batch": r.index, "phase": r.phase, "edges": r.edges,
+            "seconds": r.seconds, "edges_per_s": r.edges_per_s,
+            "live_edges": r.live_edges, "memory_bytes": r.memory_bytes,
+            "bytes_per_edge": r.bytes_per_edge, "snapshot_s": r.snapshot_seconds,
+            "analytics_s": r.analytics_seconds, "analytics_eps": r.analytics_eps,
+            "probe_insert_hist": _fmt_hist(r.probe_insert),
+            "probe_find_hist": _fmt_hist(r.probe_find),
+            "hash_bytes": r.hash_bytes,
+        }
+        row.update({f"{a}_s": t for a, t in r.algo_seconds.items()})
+        row.update({f"{a}_rounds": n for a, n in r.algo_rounds.items()})
+        row.update({f"{a}_mode": m for a, m in r.algo_modes.items()})
+        rows.append(row)
+    rows.append({
+        "batch": "summary", "phase": "summary", "edges": 2 * summary.num_edges,
+        "insert_geomean_eps": summary.insert_geomean_eps,
+        "delete_geomean_eps": summary.delete_geomean_eps,
+        "analytics_geomean_eps": summary.analytics_geomean_eps,
+        "mean_bytes_per_edge": summary.mean_bytes_per_edge,
+        "total_seconds": summary.total_seconds,
+    })
+    _write_csv(path, "report", meta, REPORT_COLUMNS, rows)
 
 
 def emit_sweep_report(rows, path, *, extra_meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# graphtango-bench th1 sweep\n")
-        for k, v in (extra_meta or {}).items():
-            fh.write(f"# {k}: {v}\n")
-        fh.write(f"# {PR_FORMULA_NOTE}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_num(row[c]) if isinstance(row[c], float) else row[c]
-                             for c in SWEEP_COLUMNS])
+    _write_csv(path, "th1 sweep", extra_meta or {}, SWEEP_COLUMNS, rows)
 
 
 def parse_report(path):
-    """Read back an emitted report: (comment lines, header, rows as dicts).
+    """Read back either kind of emitted report: (comment lines, header, rows
+    as dicts).
 
     Numeric fields are parsed to int/float; empty fields become None.
     """
-    comments: list[str] = []
-    header: list[str] = []
-    rows: list[dict] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh]
-    body = []
-    for ln in lines:
-        if ln.startswith("#"):
-            comments.append(ln.rstrip("\n"))
-        else:
-            body.append(ln)
-    if not body:
-        return comments, header, rows
-    reader = csv.reader(body)
-    header = next(reader)
-    for rec in reader:
-        row = {}
-        for key, raw in zip(header, rec):
-            row[key] = _parse_field(raw)
-        rows.append(row)
+        lines = fh.readlines()
+    comments = [ln.rstrip("\n") for ln in lines if ln.startswith("#")]
+    reader = csv.reader(ln for ln in lines if not ln.startswith("#"))
+    header = next(reader, [])
+    rows = [{k: _parse_field(raw) for k, raw in zip(header, rec)} for rec in reader]
     return comments, header, rows
 
 

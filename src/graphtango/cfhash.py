@@ -92,10 +92,6 @@ class ProbeStats:
                     mine[d] = mine.get(d, 0) + c
         return out
 
-    def reset(self) -> None:
-        self.insert.clear()
-        self.find.clear()
-
     @staticmethod
     def _mean(hist: dict) -> float:
         total = sum(hist.values())
@@ -368,11 +364,3 @@ class CfhTable:
     @property
     def chunk_bytes(self) -> int:
         return self.capacity_slots * SLOT_BYTES
-
-    def key_array_pointer(self) -> int:
-        """Machine address of the slot array, for alignment checks."""
-        return self.pool.real_pointer(self._chunk)
-
-    def probe_stats(self) -> dict:
-        """Plain-number snapshot of the probe-distance histograms."""
-        return self.stats.snapshot()

@@ -185,26 +185,26 @@ class MemoryPool:
         self._free_heads[k] = addr
         self.bytes_in_use -= 1 << k
 
-    def gather(self, addrs: np.ndarray) -> np.ndarray:
-        """uint64 word at each byte address in addrs, an int64 array whose
-        addresses come grouped by block in ascending block order, in any
-        order within a block.
+    def gather(self, addrs: np.ndarray, out: np.ndarray) -> None:
+        """Write the uint64 word at each byte address in addrs into out, a
+        uint64 array (or slice) of the same length. addrs is an int64 array
+        whose addresses come grouped by block in ascending block order, in
+        any order within a block.
 
         The vectorized read of words that allocate_words views one chunk at a
         time. Every address of block b - 1 lies below b << 48, so a binary
         search for those bounds splits addrs into one run per block, and one
-        bounds-checked numpy gather reads each run.
+        bounds-checked np.take reads each run; an address past its block's
+        end raises IndexError.
         """
         ends = np.searchsorted(addrs, np.arange(2, len(self._blocks) + 2) << _ADDR_SHIFT)
-        out = np.empty(len(addrs), dtype=np.uint64)
         lo = 0
         for block, hi in zip(self._blocks, ends.tolist()):
             if hi > lo:
                 words = addrs[lo:hi] & _OFF_MASK
                 words >>= 3
-                out[lo:hi] = block.u64[words]
+                out[lo:hi] = np.take(block.u64, words)
             lo = hi
-        return out
 
     def real_pointer(self, addr: int) -> int:
         """Machine address of a chunk, for alignment checks."""

@@ -353,10 +353,9 @@ class TangoStore(GraphStore):
 
         def read(at):  # the word at each address, in visit order
             vis = np.empty(total, dtype=np.uint64)
-            for b, (lo, hi) in enumerate(zip([0] + cuts, cuts)):
-                if lo < hi:
-                    vis[lo:hi] = (meta[at[lo:hi] >> 3] if b == 0
-                                  else self.pools[b - 1].gather(at[lo:hi]))
+            vis[:cuts[0]] = meta[at[:cuts[0]] >> 3]
+            for pool, lo, hi in zip(self.pools, cuts, cuts[1:]):
+                pool.gather(at[lo:hi], vis[lo:hi])
             return vis
         indices = read(at).view(np.int64)[back]
         weights = None

@@ -716,6 +716,72 @@ def test_report_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# Hand-built records that cover every way _num meets a value: a float whose
+# repr takes 17 digits, np.float64 and np.int64 values, a NaN bytes_per_edge,
+# an empty and a filled probe histogram, and kernels left out.
+_PINNED_META = ("# dataset: hand\n"
+                "# pagerank: rank(v) = (1-d)/|V| + d*sum_{u->v} rank(u)/outdeg(u), "
+                "d=0.85, L1 step tolerance 1e-07, max 100 iterations; "
+                "sink rank is not redistributed\n")
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    reports = [
+        harness.BatchReport(
+            index=0, phase="insert", edges=3, seconds=0.1 + 0.2, live_edges=3.0,
+            memory_bytes=1088, snapshot_seconds=np.float64(0.25),
+            algo_seconds={"bfs": 0.5, "pr": 1e-05}, algo_rounds={"bfs": 2, "pr": 7},
+            algo_modes={"bfs": "full", "pr": "full"}, probe_insert={2: 1, 1: 3},
+            hash_bytes=64),
+        harness.BatchReport(
+            index=0, phase="delete", edges=3, seconds=0.125, live_edges=0.0,
+            memory_bytes=np.int64(1024), snapshot_seconds=0.0,
+            algo_seconds={"bfs": 0.0, "pr": 0.0}, algo_rounds={"bfs": 0, "pr": 1},
+            algo_modes={"bfs": "full", "pr": "incremental"}),
+    ]
+    summary = harness.ExperimentSummary(
+        format="tango", num_vertices=4, num_edges=3, batch_size=3, num_threads=1,
+        th1=32, algorithms=("bfs", "pr"), insert_geomean_eps=10.0,
+        delete_geomean_eps=24.0, analytics_geomean_eps=np.float64(1.5),
+        mean_bytes_per_edge=1088 / 3, total_seconds=2.0)
+    path = tmp_path / "r.csv"
+    emit_report(reports, summary, path, extra_meta={"dataset": "hand"})
+    assert path.read_bytes().decode() == (
+        "# graphtango-bench report\n# format: tango\n# num_vertices: 4\n"
+        "# num_edges: 3\n# batch_size: 3\n# threads: 1\n# th1: 32\n"
+        "# algorithms: bfs,pr\n" + _PINNED_META +
+        "batch,phase,edges,seconds,edges_per_s,live_edges,memory_bytes,"
+        "bytes_per_edge,snapshot_s,bfs_s,pr_s,sssp_s,cc_s,analytics_s,analytics_eps,"
+        "probe_insert_hist,probe_find_hist,insert_geomean_eps,delete_geomean_eps,"
+        "analytics_geomean_eps,mean_bytes_per_edge,total_seconds,bfs_rounds,"
+        "pr_rounds,sssp_rounds,cc_rounds,bfs_mode,pr_mode,sssp_mode,cc_mode,"
+        "hash_bytes\r\n"
+        "0,insert,3,0.30000000000000004,9.999999999999998,3.0,1088,"
+        "362.6666666666667,0.25,0.5,1e-05,,,0.75001,3.9999466673777686,1:3;2:1,"
+        ",,,,,,2,7,,,full,full,,,64\r\n"
+        "0,delete,3,0.125,24.0,0.0,1024,nan,0.0,0.0,0.0,,,0.0,0.0,,,,,,,,0,1,,,"
+        "full,incremental,,,0\r\n"
+        "summary,summary,6,,,,,,,,,,,,,,,10.0,24.0,1.5,362.6666666666667,2.0,"
+        ",,,,,,,,\r\n")
+
+
+def test_sweep_report_bytes_are_pinned(tmp_path):
+    rows = [{"th1": 8, "insert_geomean_eps": 0.1 + 0.2,
+             "delete_geomean_eps": np.float64(2.5), "analytics_geomean_eps": 0.0,
+             "insert_mean_bytes_per_edge": 40.0, "peak_memory_bytes": np.int64(4096)},
+            {"th1": 16, "insert_geomean_eps": 3.0, "delete_geomean_eps": 1 / 3,
+             "analytics_geomean_eps": 0.0, "insert_mean_bytes_per_edge": 0.0,
+             "peak_memory_bytes": 0}]
+    path = tmp_path / "s.csv"
+    emit_sweep_report(rows, path, extra_meta={"dataset": "hand"})
+    assert path.read_bytes().decode() == (
+        "# graphtango-bench th1 sweep\n" + _PINNED_META +
+        "th1,insert_geomean_eps,delete_geomean_eps,analytics_geomean_eps,"
+        "insert_mean_bytes_per_edge,peak_memory_bytes\r\n"
+        "8,0.30000000000000004,2.5,0.0,40.0,4096\r\n"
+        "16,3.0,0.3333333333333333,0.0,0.0,0\r\n")
+
+
 def test_probe_hist_column_encoding(tmp_path):
     el = shuffle(gen_synthetic("heavy", 80, 1600, seed=3), 3)
     reports, summary = run_experiment(el, "tango", algorithms=(), batch_size=800)
@@ -733,9 +799,8 @@ def test_probe_hist_column_encoding(tmp_path):
 
 def test_th1_sweep_rows(tmp_path):
     el = shuffle(gen_synthetic("short", 120, 960, seed=17), 17)
-    rows = run_th1_sweep(el, algorithms=(), batch_size=240,
-                         th1_values=(8, 16, 32))
-    assert [r["th1"] for r in rows] == [8, 16, 32]
+    rows = run_th1_sweep(el, algorithms=(), batch_size=240)
+    assert [r["th1"] for r in rows] == list(harness.TH1_SWEEP)
     for r in rows:
         assert r["insert_geomean_eps"] > 0
         assert r["insert_mean_bytes_per_edge"] > 0
@@ -744,7 +809,7 @@ def test_th1_sweep_rows(tmp_path):
     emit_sweep_report(rows, path, extra_meta={"dataset": "x"})
     _, header, parsed = parse_report(path)
     assert header[0] == "th1"
-    assert [r["th1"] for r in parsed] == [8, 16, 32]
+    assert [r["th1"] for r in parsed] == list(harness.TH1_SWEEP)
     assert parsed[0]["peak_memory_bytes"] == rows[0]["peak_memory_bytes"]
 
 

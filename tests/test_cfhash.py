@@ -126,9 +126,7 @@ def test_probe_stats_recording():
     t.find(5)            # hit, distance 1
     t.remove(5)          # logs under find, distance 1
     t.find(5)            # tombstone then empty: distance 2
-    assert t.probe_stats() == {"insert": {1: 2}, "find": {1: 3, 2: 1}}
-    t.stats.reset()
-    assert t.probe_stats() == {"insert": {}, "find": {}}
+    assert t.stats.snapshot() == {"insert": {1: 2}, "find": {1: 3, 2: 1}}
     t.release()
 
 
@@ -138,7 +136,7 @@ def test_remove_records_exhausted_walk_like_find():
     np.frombuffer(t._words, dtype=np.uint64).fill(TOMBSTONE_KEY)
     assert t.find(5) is None
     assert t.remove(5) is False
-    assert t.probe_stats()["find"] == {16: 2}
+    assert t.stats.snapshot()["find"] == {16: 2}
     t.release()
 
 
@@ -265,7 +263,7 @@ def test_bulk_load_matches_inserts():
     b.bulk_load(iter(pairs))
     assert sorted(a.items()) == sorted(b.items())
     assert b.live_count == 50
-    assert b.probe_stats() == {"insert": {}, "find": {}}  # no stats pollution
+    assert b.stats.snapshot() == {"insert": {}, "find": {}}  # no stats pollution
     with pytest.raises(CapacityError):
         b.bulk_load((x, x) for x in range(1000, 1100))
     a.release()
@@ -277,7 +275,7 @@ def test_keys_and_values_share_one_chunk():
     t = CfhTable(64, pool=pool)
     assert pool.stats()["bytes_in_use"] == 64 * 8  # one 8-byte word per slot
     assert t.chunk_bytes == 64 * 8
-    assert t.key_array_pointer() % 64 == 0  # line-aligned slot array
+    assert t.pool.real_pointer(t._chunk) % 64 == 0  # line-aligned slot array
     t.insert(7, 70)
     slot, value, _ = t.locate(7)
     assert value == 70
@@ -482,7 +480,7 @@ def _assert_same(t, o):
     assert (t.live_count, t.tombstone_count) == (o.live, o.tomb)
     assert t.tombstone_count == words.count(TOMBSTONE_KEY)
     assert t.live_count + t.tombstone_count <= t.capacity_slots // 2
-    assert t.probe_stats() == o.hist
+    assert t.stats.snapshot() == o.hist
 
 
 @settings(max_examples=300, deadline=None)

@@ -105,6 +105,12 @@ def test_views_share_memory():
     assert len(pool.allocate_words(4)[1]) == 4
 
 
+def _gather(pool, addrs):
+    out = np.empty(len(addrs), dtype=np.uint64)
+    pool.gather(addrs, out)
+    return out
+
+
 def test_gather_reads_words_across_blocks():
     pool = MemoryPool(block_bytes=PAGE_BYTES)
     chunks = [pool.allocate_words(8) for _ in range(3 * PAGE_BYTES // 64)]
@@ -115,8 +121,8 @@ def test_gather_reads_words_across_blocks():
         view[:8] = array("Q", range(100 * i, 100 * i + 8))
         words.update({c + 8 * j: 100 * i + j for j in (0, 3, 7)})
     addrs = sorted(words)
-    got = pool.gather(np.array(addrs, dtype=np.int64))
-    assert got.dtype == np.uint64 and got.tolist() == [words[a] for a in addrs]
+    got = _gather(pool, np.array(addrs, dtype=np.int64))
+    assert got.tolist() == [words[a] for a in addrs]
     # Blocks ascending, addresses in any order within a block.
     rng = np.random.default_rng(3)
     mixed = np.array(addrs, dtype=np.int64)
@@ -124,8 +130,22 @@ def test_gather_reads_words_across_blocks():
         run = mixed[mixed >> 48 == b]
         mixed[mixed >> 48 == b] = rng.permutation(run)
     assert not np.array_equal(mixed, addrs)
-    assert pool.gather(mixed).tolist() == [words[a] for a in mixed.tolist()]
-    assert pool.gather(np.empty(0, dtype=np.int64)).tolist() == []
+    assert _gather(pool, mixed).tolist() == [words[a] for a in mixed.tolist()]
+    assert _gather(pool, np.empty(0, dtype=np.int64)).tolist() == []
+
+
+def test_gather_writes_only_its_slice_and_checks_bounds():
+    pool = MemoryPool(block_bytes=PAGE_BYTES)
+    a, view = pool.allocate_words(4)
+    b, _ = pool.allocate_words(512)  # a block of its own, one page long
+    view[:] = array("Q", (2, 3, 5, 7))
+    big = np.full(10, 99, dtype=np.uint64)
+    pool.gather(np.arange(a, a + 32, 8), big[3:7])
+    assert big.tolist() == [99, 99, 99, 2, 3, 5, 7, 99, 99, 99]
+    with pytest.raises(IndexError):  # one word past the end of b's block
+        pool.gather(np.array([b + PAGE_BYTES], dtype=np.int64), big[:1])
+    with pytest.raises(IndexError):  # ... and of a's
+        pool.gather(np.array([a + PAGE_BYTES], dtype=np.int64), big[:1])
 
 
 def test_chunk_alignment():
