@@ -12,6 +12,7 @@ from .harness import (
     DEFAULT_BATCH_SIZE,
     FORMATS,
     MAX_THREADS,
+    TH1_SWEEP,
     check_run_args,
     emit_report,
     emit_sweep_report,
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write the per-batch report here")
     p.add_argument("--sweep-th1", action="store_true",
-                   help="run the hybrid store across th1 in {8,16,...,512} "
+                   help=f"run the hybrid store across th1 in {TH1_SWEEP} "
                         "and report one row per value")
     return p
 

@@ -345,7 +345,6 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, th1: int = DEFAULT_TH1,
                     snapshot_seconds = perf_counter() - s0
 
                 algo_seconds, algo_rounds, algo_modes = {}, {}, {}
-                batch_values = {}
                 for name in algorithms:
                     p = prev.get(name)
                     incr = inserting and p is not None
@@ -368,8 +367,6 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, th1: int = DEFAULT_TH1,
                     algo_rounds[name] = res.rounds
                     algo_modes[name] = res.mode
                     prev[name] = res.values
-                    if collect_values:
-                        batch_values[name] = res.values
 
                 probe = store.probe_stats()
                 probe_insert = _hist_delta(probe["insert"], last_probe["insert"])
@@ -385,7 +382,7 @@ def run_experiment(el: EdgeList, fmt: str = "tango", *, th1: int = DEFAULT_TH1,
                     hash_bytes=hash_bytes,
                 ))
                 if collect_values:
-                    values_log.append(batch_values)
+                    values_log.append(dict(prev))
     finally:
         workers.close()
     total_seconds = perf_counter() - t_start

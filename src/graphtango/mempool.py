@@ -28,6 +28,8 @@ import threading
 
 import numpy as np
 
+from . import core
+
 MIN_CLASS = 3
 MAX_CLASS = 48
 NULL = 0
@@ -95,16 +97,14 @@ class MemoryPool:
     allocate() rounds the request up to a power of two and pops the head of
     that class's free list. When the list is empty it takes the next
     never-used chunk of the class's newest block, and carves a fresh block
-    of max(block_bytes, chunk_size) when there is none. deallocate() takes
-    the original request size back and pushes the chunk, so a matching size
-    on free is part of the contract (debug mode verifies it). Blocks are
-    only released when the pool is garbage collected.
+    of max(core.BLOCK_BYTES, chunk_size) when there is none: the block size
+    is fixed geometry, read at each carve, not a pool option. deallocate()
+    takes the original request size back and pushes the chunk, so a
+    matching size on free is part of the contract (debug mode verifies it).
+    Blocks are only released when the pool is garbage collected.
     """
 
-    def __init__(self, block_bytes: int = 4 * 1024 * 1024, debug: bool = False):
-        if block_bytes < PAGE_BYTES or block_bytes & (block_bytes - 1):
-            raise ValueError("block_bytes must be a power of two >= 4096")
-        self.block_bytes = block_bytes
+    def __init__(self, debug: bool = False):
         self.debug = debug
         self.bytes_in_use = 0
         self.bytes_reserved = 0
@@ -128,8 +128,7 @@ class MemoryPool:
         Nothing is written to the block: its chunks are handed out by the
         bump pointer, so its pages are first touched by their first user.
         """
-        csize = 1 << k
-        bsize = csize if csize > self.block_bytes else self.block_bytes
+        bsize = max(1 << k, core.BLOCK_BYTES)
         self._blocks.append(_Block(bsize, k, self.debug))
         base = len(self._blocks) << _ADDR_SHIFT
         self._fresh_end[k] = base + bsize

@@ -18,8 +18,9 @@ on how many edges the vertex currently has:
 Transitions are exact threshold crossings with geometric capacity changes:
 an append into a full array doubles it, a delete that leaves deg == cap/4
 halves it, crossing TH1 builds or drops the hash table, and crossing TH0
-moves edges between the inline record and a pool chunk. The edge array is
-kept packed by moving the last edge into any deleted slot.
+moves edges between the inline record and a pool chunk: _move_edges makes
+every such move and _fit_table every table change. The edge array is kept
+packed by moving the last edge into any deleted slot.
 
 Every edge array is a 'Q' memoryview: for Type1 the slice of the meta line
 after the degree word, for Type2/Type3 the slice of its pool block. So one
@@ -41,10 +42,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .cfhash import CfhTable, ProbeStats
 from .core import IN, OUT  # re-exported: callers import the directions from here
-from .core import (BLOCK_BYTES, CACHE_LINE_BYTES, LINE_WORDS, SCAN_LIMIT,
-                   Config, GraphStore, VertexRangeError, partition_of)
+from .core import (CACHE_LINE_BYTES, LINE_WORDS, SCAN_LIMIT, Config, GraphStore,
+                   VertexRangeError, partition_of)
 from .mempool import MemoryPool, map_words
 
 TYPE1 = 1
@@ -63,7 +65,7 @@ class _Partition(MemoryPool):
     Only the owner writes it, so no two threads update one counter or dict."""
 
     def __init__(self, debug: bool):
-        super().__init__(BLOCK_BYTES, debug=debug)
+        super().__init__(debug=debug)
         self.probe = ProbeStats()  # histograms of this partition's tables
         self.hash_bytes = 0  # chunk bytes of this partition's tables
         self.copies = 0  # edges copied by grows, shrinks, type switches
@@ -115,7 +117,7 @@ class TangoStore(GraphStore):
         chunk of cap edges and return its view, or into v's line (cap 0,
         returns None). Every grow, shrink and TH0 crossing comes here:
         allocate from the owner's pool, copy, free the chunk the edges left,
-        point the meta record, count the copies."""
+        point the meta record, count the copies, then refit v's table if any."""
         part = self.pools[partition_of(v, self.num_threads)]
         n = deg * self._ew
         mv = side.mv
@@ -132,25 +134,31 @@ class TangoStore(GraphStore):
             part.deallocate(chunk, len(src) * 8)
         side.views[v] = view
         part.copies += deg
+        if side.tables[v] is not None:
+            self._fit_table(side, v, base, deg)
         return view
 
-    def _build_table(self, side: _Side, v: int, base: int, deg: int) -> None:
-        """Attach a dst -> index hash at 2 x cap slots covering deg edges."""
-        mv = side.mv
+    def _fit_table(self, side: _Side, v: int, base: int, deg: int) -> None:
+        """Give v, holding deg edges, the table its layout calls for: none at
+        or below TH1 (the table is released), else 2 x the array's capacity
+        slots, built over the array or rebuilt. The only place a table is
+        sized or dropped, so the only one to move hash_bytes and hash words."""
         part = self.pools[partition_of(v, self.num_threads)]
-        tbl = CfhTable(2 * mv[base + _CAP], pool=part, stats=part.probe)
-        ew = self._ew
-        tbl.bulk_load(zip(side.views[v][:deg * ew:ew].tolist(), range(deg)))
-        side.tables[v] = tbl
-        part.hash_bytes += tbl.chunk_bytes
-        mv[base + _HASH] = tbl._chunk
-        mv[base + _HASHCAP] = tbl.capacity_slots
-
-    def _resize_table(self, mv, base: int, tbl: CfhTable, slots: int) -> None:
-        """Rebuild a table at slots and point the meta record at it."""
-        part = tbl.pool  # the owner's record: every table lives in its owner's pool
-        part.hash_bytes -= tbl.chunk_bytes
-        tbl.rebuild(slots)
+        tbl = side.tables[v]
+        if tbl is not None:
+            part.hash_bytes -= tbl.chunk_bytes
+        if deg <= self.th1:
+            tbl.release()
+            side.tables[v] = None
+            return
+        mv = side.mv
+        slots = 2 * mv[base + _CAP]
+        if tbl is None:
+            tbl = side.tables[v] = CfhTable(slots, pool=part, stats=part.probe)
+            ew = self._ew
+            tbl.bulk_load(zip(side.views[v][:deg * ew:ew].tolist(), range(deg)))
+        else:
+            tbl.rebuild(slots)
         part.hash_bytes += tbl.chunk_bytes
         mv[base + _HASH] = tbl._chunk
         mv[base + _HASHCAP] = tbl.capacity_slots
@@ -200,10 +208,9 @@ class TangoStore(GraphStore):
                 view[2 * j + 1] = prop
             return False
         if deg == cap:
-            # Full: double a chunk, or move a full line out to 8 (4 weighted).
+            # Full: double a chunk and its table, or move a full line out to 8 (4 weighted).
             view = self._move_edges(st, v, base, deg, view, 1 << deg.bit_length())
             if tbl is not None:
-                self._resize_table(mv, base, tbl, 4 * cap)
                 tbl.insert(nbr, deg)
         elif tbl is not None:
             tbl.put_at(slot, nbr, deg, dist)
@@ -214,7 +221,7 @@ class TangoStore(GraphStore):
         mv[base] = deg + 1
         if deg == self.th1:
             # Crossed TH1: attach the hash table (array already sized).
-            self._build_table(st, v, base, deg + 1)
+            self._fit_table(st, v, base, deg + 1)
         return True
 
     def delete_half(self, v: int, nbr: int, side: int = OUT) -> bool:
@@ -269,19 +276,12 @@ class TangoStore(GraphStore):
         if deg <= th0:
             return True
         cap = mv[base + _CAP]
-        if last == self.th1:
-            # Type3 -> Type2: halve the array, drop the hash table.
-            self._move_edges(st, v, base, last, view, cap >> 1)
-            tbl.pool.hash_bytes -= tbl.chunk_bytes
-            tbl.release()
-            st.tables[v] = None
-        elif last == th0:
+        if last == th0:
             # Type2 -> Type1: edges come back inline, chunk is freed.
             self._move_edges(st, v, base, th0, view, 0)
-        elif last == cap >> 2:
+        elif last == self.th1 or last == cap >> 2:
+            # Halve the array; a table halves with it, or goes at Type3 -> Type2.
             self._move_edges(st, v, base, last, view, cap >> 1)
-            if tbl is not None:
-                self._resize_table(mv, base, tbl, cap)  # 2 x the halved capacity
         return True
 
     # -- cursors and introspection ----------------------------------------------
@@ -330,14 +330,14 @@ class TangoStore(GraphStore):
         np.cumsum(deg, out=indptr[1:])
         total = int(indptr[-1])
         # Byte address of each row's first edge word, and its buffer's key:
-        # 0 for the meta array, else the row's pool block (a handle's block
-        # is addr >> 48, from 1) numbered on from the blocks of earlier pools.
+        # 0 for the meta array, else the row's pool block (addr >> 48, from 1)
+        # numbered on from the blocks of earlier pools, found per partition.
         inline = deg <= self.th0
         start = np.where(inline, np.arange(8, 8 * V * L, 8 * L),
                          lines[:, _EDGES].astype(np.int64))
         off = np.cumsum([0] + [p.stats()["num_blocks"] for p in self.pools])
-        key = np.where(inline, 0, off[partition_of(np.arange(V), self.num_threads)]
-                       + (start >> 48))
+        owner = off[partition_of(np.arange(0, V, core.PARTITION_SIZE), self.num_threads)]
+        key = np.where(inline, 0, np.repeat(owner, core.PARTITION_SIZE)[:V] + (start >> 48))
         rows = np.argsort(key.astype(np.min_scalar_type(off[-1])), kind="stable")
         cnt = deg[rows]
         ends = np.zeros(V + 1, dtype=np.int64)  # k-th visited row: ends[k]:ends[k + 1]

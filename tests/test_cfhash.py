@@ -498,8 +498,7 @@ def _assert_same(t, o):
 @example(cap=16, ops=[("insert", 4, 1), ("insert", 12, 2), ("remove", 4),
                       ("find", 12), ("append", 12, 3), ("delete", 12)])
 def test_table_matches_straight_line_oracle(cap, ops):
-    pool = MemoryPool(block_bytes=4096)
-    t = CfhTable(cap, pool=pool)
+    t = CfhTable(cap)
     o = OracleTable(cap, LINE_WORDS)
     for op, *args in ops:
         if op == "rebuild":

@@ -59,6 +59,8 @@ def test_config_fixes_the_geometry():
     for knob in (dict(cache_line_bytes=32), dict(partition_size=8), dict(block_bytes=4096)):
         with pytest.raises(TypeError):
             Config(**knob)
+    with pytest.raises(TypeError):  # the pool's block size is core.BLOCK_BYTES alone
+        mempool.MemoryPool(block_bytes=4096)
     assert Config.cache_line_bytes == CACHE_LINE_BYTES == 64
     assert Config(weighted=True).cache_line_bytes == 64
 

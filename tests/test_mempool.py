@@ -5,7 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
-from graphtango import Config, TangoStore
+from graphtango import Config, TangoStore, core
 from graphtango.mempool import (
     NULL,
     PAGE_BYTES,
@@ -29,8 +29,9 @@ def test_size_class():
         size_class((1 << 48) + 1)
 
 
-def test_rounding_and_accounting():
-    pool = MemoryPool(block_bytes=1 << 20, debug=True)
+def test_rounding_and_accounting(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 20)
+    pool = MemoryPool(debug=True)
     a = pool.allocate(20)
     s = pool.stats()
     assert s["bytes_in_use"] == 32
@@ -48,8 +49,9 @@ def test_rounding_and_accounting():
     assert pool.stats()["bytes_reserved"] == 3 << 20
 
 
-def test_never_returns_null():
-    pool = MemoryPool(block_bytes=1 << 16)
+def test_never_returns_null(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 16)
+    pool = MemoryPool()
     addrs = [pool.allocate(8) for _ in range(5000)]
     assert NULL not in addrs
     assert len(set(addrs)) == len(addrs)
@@ -79,10 +81,11 @@ def test_classes_are_independent():
     pool.deallocate(c, 128)
 
 
-def test_oversized_chunk_gets_dedicated_block():
-    pool = MemoryPool(block_bytes=4 << 20, debug=True)
+def test_oversized_chunk_gets_dedicated_block(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", 4 << 20)
+    pool = MemoryPool(debug=True)
     small = pool.allocate(100)
-    big = pool.allocate(5 << 20)  # rounds to 8 MiB, above block_bytes
+    big = pool.allocate(5 << 20)  # rounds to 8 MiB, above the block size
     s = pool.stats()
     assert s["bytes_in_use"] == 128 + (8 << 20)
     assert s["bytes_reserved"] == (4 << 20) + (8 << 20)
@@ -111,8 +114,9 @@ def _gather(pool, addrs):
     return out
 
 
-def test_gather_reads_words_across_blocks():
-    pool = MemoryPool(block_bytes=PAGE_BYTES)
+def test_gather_reads_words_across_blocks(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", PAGE_BYTES)
+    pool = MemoryPool()
     chunks = [pool.allocate_words(8) for _ in range(3 * PAGE_BYTES // 64)]
     chunks.append(pool.allocate_words(16))  # a block of another class
     assert pool.stats()["num_blocks"] == 4
@@ -134,8 +138,9 @@ def test_gather_reads_words_across_blocks():
     assert _gather(pool, np.empty(0, dtype=np.int64)).tolist() == []
 
 
-def test_gather_writes_only_its_slice_and_checks_bounds():
-    pool = MemoryPool(block_bytes=PAGE_BYTES)
+def test_gather_writes_only_its_slice_and_checks_bounds(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", PAGE_BYTES)
+    pool = MemoryPool()
     a, view = pool.allocate_words(4)
     b, _ = pool.allocate_words(512)  # a block of its own, one page long
     view[:] = array("Q", (2, 3, 5, 7))
@@ -184,8 +189,9 @@ def test_blocks_are_not_marked_for_huge_pages():
     assert "hg" not in _vm_flags(meta.ctypes.data)
 
 
-def test_fresh_chunks_are_distinct_until_freed():
-    pool = MemoryPool(block_bytes=1 << 16, debug=True)
+def test_fresh_chunks_are_distinct_until_freed(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 16)
+    pool = MemoryPool(debug=True)
     seen = set()
     live = []
     for i in range(3000):
@@ -198,11 +204,12 @@ def test_fresh_chunks_are_distinct_until_freed():
             seen.discard(a)
 
 
-def test_address_sequence_across_two_blocks():
+def test_address_sequence_across_two_blocks(monkeypatch):
     # Freed chunks come back first (LIFO), then never-used ones in ascending
     # order, and a second block is carved only when both run out. Carving
     # writes nothing, so a fresh block's pages stay untouched.
-    pool = MemoryPool(block_bytes=PAGE_BYTES, debug=True)
+    monkeypatch.setattr(core, "BLOCK_BYTES", PAGE_BYTES)
+    pool = MemoryPool(debug=True)
     per_block = PAGE_BYTES // 64
     b1, b2 = 1 << 48, 2 << 48
     got = [pool.allocate(64) for _ in range(10)]
@@ -260,8 +267,9 @@ def test_foreign_thread_rejected():
     assert len(err) == 1
 
 
-def test_free_list_survives_heavy_churn():
-    pool = MemoryPool(block_bytes=1 << 16, debug=True)
+def test_free_list_survives_heavy_churn(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1 << 16)
+    pool = MemoryPool(debug=True)
     import random
 
     rng = random.Random(11)
