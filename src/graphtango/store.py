@@ -16,9 +16,11 @@ on how many edges the vertex currently has:
   O(deg) scan.
 
 Transitions are exact threshold crossings with geometric capacity changes:
-an append into a full array doubles it, a delete that leaves deg == cap/4
-halves it, crossing TH1 builds or drops the hash table, and crossing TH0
-moves edges between the inline record and a pool chunk: _move_edges makes
+an append into a full line moves its edges out to an array of two lines'
+worth, 2 x (TH0 + 1) edges; an append into a full array doubles it; a
+delete that leaves deg == cap/4 halves it, unless the next delete will
+bring the TH0 + 1 left inline; crossing TH1 builds or drops the hash table;
+falling to TH0 moves the edges back into the record. _move_edges makes
 every such move and _fit_table every table change. The edge array is kept
 packed by moving the last edge into any deleted slot.
 
@@ -132,6 +134,8 @@ class TangoStore(GraphStore):
             mv[base + 1:base + 1 + n] = src[:n]
         if side.views[v] is not None:
             part.deallocate(chunk, len(src) * 8)
+        elif cap:
+            mv[base + _HASH] = mv[base + _HASHCAP] = 0  # held inline edges
         side.views[v] = view
         part.copies += deg
         if side.tables[v] is not None:
@@ -144,14 +148,15 @@ class TangoStore(GraphStore):
         slots, built over the array or rebuilt. The only place a table is
         sized or dropped, so the only one to move hash_bytes and hash words."""
         part = self.pools[partition_of(v, self.num_threads)]
+        mv = side.mv
         tbl = side.tables[v]
         if tbl is not None:
             part.hash_bytes -= tbl.chunk_bytes
         if deg <= self.th1:
             tbl.release()
             side.tables[v] = None
+            mv[base + _HASH] = mv[base + _HASHCAP] = 0
             return
-        mv = side.mv
         slots = 2 * mv[base + _CAP]
         if tbl is None:
             tbl = side.tables[v] = CfhTable(slots, pool=part, stats=part.probe)
@@ -208,8 +213,11 @@ class TangoStore(GraphStore):
                 view[2 * j + 1] = prop
             return False
         if deg == cap:
-            # Full: double a chunk and its table, or move a full line out to 8 (4 weighted).
-            view = self._move_edges(st, v, base, deg, view, 1 << deg.bit_length())
+            # Full: double a chunk and its table, or move a full line out to
+            # two lines' worth, 16 edges (8 weighted), which a doubling to
+            # 8 (4) would have to grow again on the next append.
+            view = self._move_edges(st, v, base, deg, view,
+                                    2 * cap if deg > self.th0 else 2 * (cap + 1))
             if tbl is not None:
                 tbl.insert(nbr, deg)
         elif tbl is not None:
@@ -279,8 +287,9 @@ class TangoStore(GraphStore):
         if last == th0:
             # Type2 -> Type1: edges come back inline, chunk is freed.
             self._move_edges(st, v, base, th0, view, 0)
-        elif last == self.th1 or last == cap >> 2:
+        elif last == self.th1 or (last == cap >> 2 and last > th0 + 1):
             # Halve the array; a table halves with it, or goes at Type3 -> Type2.
+            # At th0 + 1 edges the next delete moves them inline, so keep cap.
             self._move_edges(st, v, base, last, view, cap >> 1)
         return True
 
@@ -430,6 +439,8 @@ class TangoStore(GraphStore):
             assert len(set(nbrs)) == deg, f"v{v}: duplicate stored edges"
         if deg <= self.th1:
             assert tbl is None, f"v{v}: Type2 with hash table"
+            assert mf.item(base + _HASH) == mf.item(base + _HASHCAP) == 0, \
+                f"v{v}: Type2 record holds hash words"
             return
         assert tbl is not None, f"v{v}: Type3 missing hash table"
         assert tbl.capacity_slots == 2 * cap, \

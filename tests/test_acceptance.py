@@ -312,7 +312,7 @@ def test_criterion_5_amortized_growth():
     for j in range(1, n + 1):
         store.insert_half(0, j, 0, OUT)
     assert store.degree(0) == n
-    expected = _expected_copies(n, cfg.th0, 8)
+    expected = _expected_copies(n, cfg.th0, 2 * (cfg.th0 + 1))
     ok = store.resize_copies == expected and store.resize_copies <= 400_000
     _report(5, ok, f"{store.resize_copies} edge copies for {n} inserts "
                    f"(oracle {expected}, bound 400000)")

@@ -28,6 +28,9 @@ def probe_delta(store, op, *args):
                         if c != before[kind].get(d, 0)} for kind in after}
 
 
+WEIGHTS = pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+
+
 # -- layout transitions -------------------------------------------------------
 
 
@@ -44,19 +47,23 @@ def test_kind_thresholds_up():
     assert kinds[32:] == [TYPE3] * 8
 
 
-def test_capacity_trajectory_up():
-    store = make_store(V=3000)
+@WEIGHTS
+def test_capacity_trajectory_up(weighted):
+    store = make_store(V=3000, weighted=weighted)
     v = 7
     caps = {}
     for k in range(200):
-        store.insert_half(v, 1000 + k)
+        store.insert_half(v, 1000 + k, k if weighted else 0)
         deg = store.degree(v)
-        if deg > 7:
+        if deg > store.th0:
             caps[deg] = int(store._sides[OUT].meta.item(v * 8 + 1))
         store.check_invariants(v, deep=(k % 9 == 0))
-    # first spill allocates 8, then strict doubling at each full append
-    assert caps[8] == 8
-    assert caps[9] == caps[16] == 16
+    # a full line spills to two lines' worth, 2 x (th0 + 1) edges, then
+    # strict doubling at each full append
+    first = 8 if weighted else 16
+    assert first == 2 * (store.th0 + 1)
+    assert caps == {d: max(first, 1 << (d - 1).bit_length()) for d in range(store.th0 + 1, 201)}
+    assert caps[store.th0 + 1] == caps[first] == first
     assert caps[17] == caps[32] == 32
     assert caps[33] == 64  # the TH1 crossing grows first, then builds the hash
     assert caps[64] == 64 and caps[65] == 128
@@ -134,6 +141,67 @@ def test_shrink_within_type3():
     store.check_invariants(v, deep=True)
 
 
+@WEIGHTS
+def test_full_line_spills_to_two_lines(weighted):
+    store = make_store(weighted=weighted)
+    th0, w = store.th0, int(weighted)
+    for k in range(th0):
+        store.insert_half(0, 10 + k, k * w)
+    assert store.vertex_kind(0) == TYPE1 and pool_bytes(store) == 0
+    store.insert_half(0, 10 + th0, th0 * w)  # the full line moves out
+    side = store._sides[OUT]
+    assert store.vertex_kind(0) == TYPE2
+    assert side.meta.item(1) == (8 if weighted else 16)
+    assert pool_bytes(store) == 2 * 64  # two lines
+    assert store.resize_copies == th0
+    store.check_invariants(0, deep=True)
+    for k in range(th0 + 1, side.meta.item(1)):  # fills without another move
+        store.insert_half(0, 10 + k, k * w)
+    assert store.resize_copies == th0 and pool_bytes(store) == 2 * 64
+    assert store.neighbors(0).tolist() == list(range(10, 10 + store.degree(0)))
+    if weighted:
+        assert store.neighbor_props(0).tolist() == list(range(store.degree(0)))
+
+
+@WEIGHTS
+def test_quarter_load_at_th0_plus_one_keeps_cap(weighted):
+    # cap 32 (16 weighted) at th0 + 1 edges is a quarter full, but the next
+    # delete moves the edges inline, so halving first would copy for nothing
+    store = make_store(weighted=weighted)
+    th0 = store.th0
+    cap = 4 * (th0 + 1)
+    for k in range(cap):
+        store.insert_half(0, 10 + k)
+    side = store._sides[OUT]
+    assert side.meta.item(1) == cap
+    for k in range(cap - 1, th0, -1):
+        store.delete_half(0, 10 + k)
+        store.check_invariants(0)
+    copies = store.resize_copies
+    assert store.degree(0) == th0 + 1 and side.meta.item(1) == cap
+    assert pool_bytes(store) == 8 * cap * (2 if weighted else 1)
+    store.delete_half(0, 10 + th0)  # the next delete moves the edges inline
+    assert store.vertex_kind(0) == TYPE1 and side.views[0] is None
+    assert store.resize_copies == copies + th0 and pool_bytes(store) == 0
+    assert store.neighbors(0).tolist() == list(range(10, 10 + th0))
+    store.check_invariants(0, deep=True)
+
+
+def test_type2_record_clears_hash_words():
+    # Falling from Type3 to Type2 releases the table; the record's hash
+    # handle and slot count must not point at the freed chunk.
+    store = make_store(th1=8)
+    side = store._sides[OUT]
+    for k in range(10):
+        store.insert_half(0, 10 + k)
+    assert store.vertex_kind(0) == TYPE3 and side.meta.item(3) != 0
+    store.delete_half(0, 19)
+    store.delete_half(0, 18)
+    assert store.vertex_kind(0) == TYPE2
+    assert (side.meta.item(3), side.meta.item(4)) == (0, 0)
+    store.check_invariants(0, deep=True)
+
+
 def test_th1_bounce():
     # oscillate across TH1: each downgrade frees the hash and halves the
     # array, each re-cross grows back and rebuilds it, state stays coherent
@@ -178,7 +246,6 @@ def test_weighted_thresholds():
 # line and sits inside an unweighted one; th1 8 makes degree 40 a Type3.
 LAYOUTS = pytest.mark.parametrize("kind,deg,th1", [(TYPE1, 3, 32), (TYPE2, 20, 32),
                                                    (TYPE3, 40, 8)], ids=["type1", "type2", "type3"])
-WEIGHTS = pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 
 
 @LAYOUTS
@@ -297,14 +364,14 @@ def test_self_loop():
 
 
 def test_resize_copy_counter_exact():
-    for weighted, th0, min_cap in ((False, 7, 8), (True, 3, 4)):
+    for weighted, th0, min_cap in ((False, 7, 16), (True, 3, 8)):
         n = 20000
         store = TangoStore(Config(weighted=weighted), n + 1)
         assert store.th0 == th0
         for k in range(n):
             store.insert_half(0, k + 1, k)
         # independent accounting of the documented copy costs: TH0 edges when
-        # the inline record spills, cap edges at every doubling
+        # the inline record spills to two lines' worth, cap edges at every doubling
         sim, deg, cap = 0, 0, 0
         for _ in range(n):
             if deg == th0 and cap == 0:
@@ -316,8 +383,9 @@ def test_resize_copy_counter_exact():
             deg += 1
         assert store.resize_copies == sim
         assert store.resize_copies <= 4 * n
-        # Deleting back to degree 0: deg edges at every halving (deg == cap/4,
-        # or the TH1 crossing that drops the table), TH0 when they come inline.
+        # Deleting back to degree 0: deg edges at every halving (deg == cap/4
+        # above TH0 + 1, or the TH1 crossing that drops the table), TH0 when
+        # they come inline.
         th1 = store.th1
         for k in range(n):
             store.delete_half(0, k + 1)
@@ -325,7 +393,7 @@ def test_resize_copy_counter_exact():
             if deg == th0 and cap:
                 sim += th0
                 cap = 0
-            elif cap and (deg == th1 or deg == cap // 4):
+            elif cap and (deg == th1 or (deg == cap // 4 and deg > th0 + 1)):
                 sim += deg
                 cap //= 2
             assert store.resize_copies == sim, f"weighted={weighted}, after delete {k}"
