@@ -174,7 +174,8 @@ class Config:
 
     th0, the edges that fit inline next to the degree word of a 64-byte
     line, follows from weighted. th1 must be a power of two strictly above
-    th0 so that capacity doubling crosses it exactly at deg == cap. The line
+    th0 so that the array a Type3 -> Type2 delete halves still holds th1
+    edges: a power-of-two capacity above th1 is at least 2 x th1. The line
     size is fixed; cache_line_bytes reads it for callers that size lines.
     """
 

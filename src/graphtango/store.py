@@ -146,7 +146,8 @@ class TangoStore(GraphStore):
         """Give v, holding deg edges, the table its layout calls for: none at
         or below TH1 (the table is released), else 2 x the array's capacity
         slots, built over the array or rebuilt. The only place a table is
-        sized or dropped, so the only one to move hash_bytes and hash words."""
+        sized or dropped, so the only one to move hash_bytes or to point the
+        record's hash words at a table."""
         part = self.pools[partition_of(v, self.num_threads)]
         mv = side.mv
         tbl = side.tables[v]

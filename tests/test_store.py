@@ -47,30 +47,30 @@ def test_kind_thresholds_up():
     assert kinds[32:] == [TYPE3] * 8
 
 
-@WEIGHTS
-def test_capacity_trajectory_up(weighted):
-    store = make_store(V=3000, weighted=weighted)
-    v = 7
-    caps = {}
-    for k in range(200):
-        store.insert_half(v, 1000 + k, k if weighted else 0)
-        deg = store.degree(v)
-        if deg > store.th0:
-            caps[deg] = int(store._sides[OUT].meta.item(v * 8 + 1))
-        store.check_invariants(v, deep=(k % 9 == 0))
-    # a full line spills to two lines' worth, 2 x (th0 + 1) edges, then
-    # strict doubling at each full append
-    first = 8 if weighted else 16
-    assert first == 2 * (store.th0 + 1)
-    assert caps == {d: max(first, 1 << (d - 1).bit_length()) for d in range(store.th0 + 1, 201)}
-    assert caps[store.th0 + 1] == caps[first] == first
-    assert caps[17] == caps[32] == 32
-    assert caps[33] == 64  # the TH1 crossing grows first, then builds the hash
-    assert caps[64] == 64 and caps[65] == 128
-    assert caps[200] == 256
-    tbl = store._sides[OUT].tables[v]
-    assert tbl.capacity_slots == 512  # hash stays at 2 x capacity
-    assert store.vertex_kind(v) == TYPE3
+def test_capacity_trajectory_up():
+    for weighted, first in ((False, 16), (True, 8)):
+        store = make_store(V=3000, weighted=weighted)
+        v = 7
+        caps = {}
+        for k in range(200):
+            store.insert_half(v, 1000 + k, k if weighted else 0)
+            deg = store.degree(v)
+            if deg > store.th0:
+                caps[deg] = int(store._sides[OUT].meta.item(v * 8 + 1))
+            store.check_invariants(v, deep=(k % 9 == 0))
+        # a full line spills to two lines' worth, 2 x (th0 + 1) edges, then
+        # strict doubling at each full append
+        assert first == 2 * (store.th0 + 1)
+        assert caps == {d: max(first, 1 << (d - 1).bit_length())
+                        for d in range(store.th0 + 1, 201)}
+        assert caps[store.th0 + 1] == caps[first] == first
+        assert caps[17] == caps[32] == 32
+        assert caps[33] == 64  # the TH1 crossing grows first, then builds the hash
+        assert caps[64] == 64 and caps[65] == 128
+        assert caps[200] == 256
+        tbl = store._sides[OUT].tables[v]
+        assert tbl.capacity_slots == 512  # hash stays at 2 x capacity
+        assert store.vertex_kind(v) == TYPE3
 
 
 def test_downgrade_points():
