@@ -2,10 +2,8 @@
 
 from array import array
 
-import numpy as np
-
 from graphtango import MemoryPool
-from graphtango.mempool import size_class
+from graphtango.mempool import ADDR_SHIFT, OFF_MASK, size_class
 
 
 def main():
@@ -32,13 +30,15 @@ def main():
     print(f"a different class allocates fresh: {e:#x}")
     assert e not in (a, b)
 
-    # handles are offsets into pool-owned blocks; a chunk's view writes
-    # straight into its block, where gather reads it back
+    # a handle is block << ADDR_SHIFT | byte offset into one of the pool's
+    # blocks; a chunk's view writes straight into that block's words
     f, view = pool.allocate_words(4)
     view[:] = array("Q", (2, 3, 5, 7))
-    words = np.empty(4, dtype=np.uint64)
-    pool.gather(np.arange(f, f + 32, 8), words)
-    print(f"allocate_words(4) -> {f:#x}, after write: {words.tolist()}")
+    block = pool.blocks[(f >> ADDR_SHIFT) - 1]
+    word = (f & OFF_MASK) >> 3
+    words = block.u64[word:word + 4].tolist()
+    print(f"allocate_words(4) -> {f:#x}, block words after write: {words}")
+    assert words == [2, 3, 5, 7]
 
     s = pool.stats()
     print(f"bytes_in_use={s['bytes_in_use']}, reserved={s['bytes_reserved']}, "

@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 
+from ..analytics import KERNELS
 from ..core import CACHE_LINE_BYTES, DEFAULT_TH1, Config, ConfigError, ParseError
 from .data import check_synthetic, gen_synthetic, load_snap, shuffle
 from .harness import (
@@ -40,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="tango",
                    help="store under test (default tango)")
     p.add_argument("--algorithms", default="bfs,pr", metavar="LIST",
-                   help="comma list from bfs,pr,sssp,cc; empty for update-only "
-                        "(default bfs,pr)")
+                   help=f"comma list from {','.join(KERNELS)}; empty for "
+                        "update-only (default bfs,pr)")
     p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                    metavar="N", help=f"edges per batch (default {DEFAULT_BATCH_SIZE})")
     p.add_argument("--threads", type=int, default=1, metavar="N",
@@ -85,6 +86,14 @@ def _check_fits(num_vertices: int, num_edges: int, cfg: Config) -> None:
                          f"this host has {have / 2**30:.1f} GiB of memory")
 
 
+def _check_report_path(path: str) -> None:
+    """Refuse a report path the run could not write at its end: a
+    directory, or a file or folder that does not allow writing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValueError(f"--report {path}: not a writable file path")
+
+
 def _build_dataset(args, cfg: Config):
     if args.synthetic is not None:
         if args.vertices is None or args.edges is None:
@@ -110,6 +119,10 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if args.sweep_th1 and args.format != "tango":
             raise ValueError("--sweep-th1 applies to the tango format only")
+        if args.input is not None and (args.vertices is not None or args.edges is not None):
+            raise ValueError("--vertices and --edges apply to --synthetic only")
+        if args.report is not None:
+            _check_report_path(args.report)
         algorithms = _parse_algorithms(args.algorithms)
         check_run_args(args.format, algorithms, weighted=args.weighted,
                        batch_size=args.batch_size, num_threads=args.threads)

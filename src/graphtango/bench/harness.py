@@ -427,13 +427,12 @@ def run_th1_sweep(el: EdgeList, *, algorithms=("bfs",),
 
 REPORT_COLUMNS = (
     "batch", "phase", "edges", "seconds", "edges_per_s", "live_edges",
-    "memory_bytes", "bytes_per_edge", "snapshot_s", "bfs_s", "pr_s",
-    "sssp_s", "cc_s", "analytics_s", "analytics_eps",
+    "memory_bytes", "bytes_per_edge", "snapshot_s", *(f"{k}_s" for k in KERNELS),
+    "analytics_s", "analytics_eps",
     "probe_insert_hist", "probe_find_hist",
     "insert_geomean_eps", "delete_geomean_eps", "analytics_geomean_eps",
     "mean_bytes_per_edge", "total_seconds",
-    "bfs_rounds", "pr_rounds", "sssp_rounds", "cc_rounds",
-    "bfs_mode", "pr_mode", "sssp_mode", "cc_mode",
+    *(f"{k}_rounds" for k in KERNELS), *(f"{k}_mode" for k in KERNELS),
     "hash_bytes",
 )
 

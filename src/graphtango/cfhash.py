@@ -308,17 +308,15 @@ class CfhTable:
         self.live_count -= 1
         self.tombstone_count += 1
 
-    def rebuild(self, new_capacity_slots: int | None = None) -> None:
+    def rebuild(self, new_capacity_slots: int) -> None:
         """Re-place all live pairs, dropping tombstones.
 
-        With the current capacity (the default) the slot chunk is reused in
-        place, so the chunk handle stays valid; a different capacity
-        allocates a new chunk and frees the old one. new_capacity_slots must
-        be a power of two >= 2 * live_count and at least one line; otherwise
-        CapacityError or ValueError is raised and the table is unchanged.
+        With the current capacity the slot chunk is reused in place, so the
+        chunk handle stays valid; a different capacity allocates a new chunk
+        and frees the old one. new_capacity_slots must be a power of two
+        >= 2 * live_count and at least one line; otherwise CapacityError or
+        ValueError is raised and the table is unchanged.
         """
-        if new_capacity_slots is None:
-            new_capacity_slots = self.capacity_slots
         if new_capacity_slots < 2 * self.live_count:
             raise CapacityError(
                 f"rebuild to {new_capacity_slots} slots would exceed load 0.5 "

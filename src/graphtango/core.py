@@ -41,9 +41,13 @@ DEFAULT_TH1 = 32
 # (dst + 64-bit property).
 DEG_BYTES = 8
 
-# Crossover length for neighbor membership scans: a python-list walk beats
-# the numpy ufunc by ~5x below this, loses above. Shared by the hybrid store
-# and the baselines so throughput comparisons measure layout, not scan idiom.
+# Longest membership scan walked as a python list; longer ones take one
+# numpy comparison. Misses on 'Q' memoryview and array.array edge arrays,
+# list against numpy (best of 5 x 2000 calls): 32 edges 0.60/1.64 us, 64
+# 1.45-1.48/1.67-1.78 us, 128 3.1-3.2/1.7-1.8 us, 512 12.7-16.8/2.3-3.6 us.
+# The crossover lies between 64 and 128; a lower value would move the
+# heavy-tailed baseline runs, so it needs a measurement of its own. Shared by
+# the store and the baselines so comparisons measure layout, not scan idiom.
 SCAN_LIMIT = 128
 
 

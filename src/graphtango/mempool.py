@@ -11,7 +11,8 @@ a fresh block's pages stay untouched (and unfaulted) until its chunks are
 first used.
 
 Chunk handles are integers in a per-pool virtual address space: block b
-(1-based) covers [b << 48, b << 48 | block_size). Address 0 is the null
+(1-based) covers [b << 48, b << 48 | block_size), so a handle h is byte
+h & OFF_MASK of blocks[(h >> ADDR_SHIFT) - 1]. Address 0 is the null
 handle. Because blocks are page-aligned and chunks are naturally aligned
 within their block, a chunk handle of class k is aligned to min(2**k, page)
 bytes in real memory as well.
@@ -34,8 +35,8 @@ MIN_CLASS = 3
 MAX_CLASS = 48
 NULL = 0
 
-_ADDR_SHIFT = 48
-_OFF_MASK = (1 << _ADDR_SHIFT) - 1
+ADDR_SHIFT = 48
+OFF_MASK = (1 << ADDR_SHIFT) - 1
 
 PAGE_BYTES = 4096
 
@@ -82,7 +83,8 @@ def map_words(nbytes: int) -> tuple[np.ndarray, memoryview]:
 class _Block:
     # mv aliases the same words as u64; free-list link words and the views
     # allocate_words hands out go through it because a memoryview scalar is
-    # about half the cost of a numpy one.
+    # about half the cost of a numpy one. Vectorised reads, such as the
+    # store's CSR export, index u64.
     __slots__ = ("u64", "mv", "shadow", "klass")
 
     def __init__(self, size: int, klass: int, debug: bool):
@@ -101,7 +103,8 @@ class MemoryPool:
     is fixed geometry, read at each carve, not a pool option. deallocate()
     takes the original request size back and pushes the chunk, so a
     matching size on free is part of the contract (debug mode verifies it).
-    Blocks are only released when the pool is garbage collected.
+    blocks lists the carved blocks in block-number order; they are only
+    released when the pool is garbage collected.
     """
 
     def __init__(self, debug: bool = False):
@@ -113,14 +116,14 @@ class MemoryPool:
         # block's end. Equal (NULL at first) when the class has none left.
         self._fresh = [NULL] * (MAX_CLASS + 1)
         self._fresh_end = [NULL] * (MAX_CLASS + 1)
-        self._blocks: list[_Block] = []
+        self.blocks: list[_Block] = []
         self._live: dict[int, int] = {}  # addr -> class, debug only
         self._owner: int | None = None
 
     # -- internals ---------------------------------------------------------
 
     def _block_of(self, addr: int) -> _Block:
-        return self._blocks[(addr >> _ADDR_SHIFT) - 1]
+        return self.blocks[(addr >> ADDR_SHIFT) - 1]
 
     def _carve(self, k: int) -> int:
         """Add a block for class k and return its first chunk's address.
@@ -129,8 +132,8 @@ class MemoryPool:
         bump pointer, so its pages are first touched by their first user.
         """
         bsize = max(1 << k, core.BLOCK_BYTES)
-        self._blocks.append(_Block(bsize, k, self.debug))
-        base = len(self._blocks) << _ADDR_SHIFT
+        self.blocks.append(_Block(bsize, k, self.debug))
+        base = len(self.blocks) << ADDR_SHIFT
         self._fresh_end[k] = base + bsize
         self.bytes_reserved += bsize
         return base
@@ -150,8 +153,8 @@ class MemoryPool:
         heads = self._free_heads
         addr = heads[k]
         if addr:
-            block = self._blocks[(addr >> _ADDR_SHIFT) - 1]
-            heads[k] = block.mv[(addr & _OFF_MASK) >> 3]
+            block = self.blocks[(addr >> ADDR_SHIFT) - 1]
+            heads[k] = block.mv[(addr & OFF_MASK) >> 3]
         else:
             fresh = self._fresh
             addr = fresh[k]
@@ -169,14 +172,14 @@ class MemoryPool:
         first nwords words: the handle for the owner's records, the view for
         every later read and write of the words."""
         addr = self.allocate(nwords << 3)
-        word = (addr & _OFF_MASK) >> 3
-        return addr, self._blocks[(addr >> _ADDR_SHIFT) - 1].mv[word:word + nwords]
+        word = (addr & OFF_MASK) >> 3
+        return addr, self.blocks[(addr >> ADDR_SHIFT) - 1].mv[word:word + nwords]
 
     def deallocate(self, addr: int, size: int) -> None:
         """Return a chunk to its free list; size must match the allocation."""
         k = size_class(size)
-        block = self._blocks[(addr >> _ADDR_SHIFT) - 1]
-        word = (addr & _OFF_MASK) >> 3
+        block = self.blocks[(addr >> ADDR_SHIFT) - 1]
+        word = (addr & OFF_MASK) >> 3
         if self.debug:
             self._check_thread()
             self._debug_free(addr, k, block, word)
@@ -184,46 +187,25 @@ class MemoryPool:
         self._free_heads[k] = addr
         self.bytes_in_use -= 1 << k
 
-    def gather(self, addrs: np.ndarray, out: np.ndarray) -> None:
-        """Write the uint64 word at each byte address in addrs into out, a
-        uint64 array (or slice) of the same length. addrs is an int64 array
-        whose addresses come grouped by block in ascending block order, in
-        any order within a block.
-
-        The vectorized read of words that allocate_words views one chunk at a
-        time. Every address of block b - 1 lies below b << 48, so a binary
-        search for those bounds splits addrs into one run per block, and one
-        bounds-checked np.take reads each run; an address past its block's
-        end raises IndexError.
-        """
-        ends = np.searchsorted(addrs, np.arange(2, len(self._blocks) + 2) << _ADDR_SHIFT)
-        lo = 0
-        for block, hi in zip(self._blocks, ends.tolist()):
-            if hi > lo:
-                words = addrs[lo:hi] & _OFF_MASK
-                words >>= 3
-                out[lo:hi] = np.take(block.u64, words)
-            lo = hi
-
     def real_pointer(self, addr: int) -> int:
         """Machine address of a chunk, for alignment checks."""
         block = self._block_of(addr)
-        return block.u64.ctypes.data + (addr & _OFF_MASK)
+        return block.u64.ctypes.data + (addr & OFF_MASK)
 
     def stats(self) -> dict:
         return {
             "bytes_in_use": self.bytes_in_use,
             "bytes_reserved": self.bytes_reserved,
-            "num_blocks": len(self._blocks),
+            "num_blocks": len(self.blocks),
         }
 
     # -- debug shadow allocator ---------------------------------------------
 
     def _debug_alloc(self, addr: int, k: int) -> None:
-        block, word = self._block_of(addr), (addr & _OFF_MASK) >> 3
+        block, word = self._block_of(addr), (addr & OFF_MASK) >> 3
         if block.klass != k:
             raise PoolError(f"chunk of class {k} handed out from a class-{block.klass} block")
-        if addr & ((1 << k) - 1) & _OFF_MASK:
+        if addr & ((1 << k) - 1) & OFF_MASK:
             raise PoolError(f"chunk {addr:#x} not aligned to its 2**{k} B class")
         span = block.shadow[word:word + (1 << max(k - 3, 0))]
         if span.any():

@@ -49,7 +49,7 @@ from .cfhash import CfhTable, ProbeStats
 from .core import IN, OUT  # re-exported: callers import the directions from here
 from .core import (CACHE_LINE_BYTES, LINE_WORDS, SCAN_LIMIT, Config, GraphStore,
                    VertexRangeError, partition_of)
-from .mempool import MemoryPool, map_words
+from .mempool import ADDR_SHIFT, OFF_MASK, MemoryPool, map_words
 
 TYPE1 = 1
 TYPE2 = 2
@@ -328,49 +328,49 @@ class TangoStore(GraphStore):
         and neighbor_props(): int64 indices, float64 weights. A vertex's
         edge words start in its own meta line (Type1) or at the chunk handle
         held there (Type2/3). The rows are visited grouped by the buffer
-        that holds them, the meta array first and then each pool block in
-        ascending order, so one numpy gather per buffer reads its words and
-        one more puts them back in row order. Hash tables are never touched.
+        that holds them, the meta array and then each pool's blocks, so one
+        bounds-checked take per buffer reads its words and one gather puts
+        them back in row order. Hash tables are never touched.
         """
-        V, L, step = self.num_vertices, LINE_WORDS, 8 * self._ew
+        V, L, ew = self.num_vertices, LINE_WORDS, self._ew
         meta = self._sides[side].meta
         lines = meta.reshape(V, L)
         deg = lines[:, _DEG].astype(np.int64)
         indptr = np.zeros(V + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         total = int(indptr[-1])
-        # Byte address of each row's first edge word, and its buffer's key:
-        # 0 for the meta array, else the row's pool block (addr >> 48, from 1)
-        # numbered on from the blocks of earlier pools, found per partition.
+        # Each row's first edge word in its buffer, and the buffer's index
+        # in bufs: 0 for inline rows, else the row's block number counted on
+        # from the blocks of earlier pools, found per partition.
+        bufs = [meta] + [b.u64 for p in self.pools for b in p.blocks]
         inline = deg <= self.th0
-        start = np.where(inline, np.arange(8, 8 * V * L, 8 * L),
-                         lines[:, _EDGES].astype(np.int64))
-        off = np.cumsum([0] + [p.stats()["num_blocks"] for p in self.pools])
+        chunk = lines[:, _EDGES].astype(np.int64)
+        start = np.where(inline, np.arange(1, V * L, L), (chunk & OFF_MASK) >> 3)
+        off = np.cumsum([0] + [len(p.blocks) for p in self.pools])
         owner = off[partition_of(np.arange(0, V, core.PARTITION_SIZE), self.num_threads)]
-        key = np.where(inline, 0, np.repeat(owner, core.PARTITION_SIZE)[:V] + (start >> 48))
+        owner = np.repeat(owner, core.PARTITION_SIZE)[:V]
+        key = np.where(inline, 0, owner + (chunk >> ADDR_SHIFT))
         rows = np.argsort(key.astype(np.min_scalar_type(off[-1])), kind="stable")
         cnt = deg[rows]
         ends = np.zeros(V + 1, dtype=np.int64)  # k-th visited row: ends[k]:ends[k + 1]
         np.cumsum(cnt, out=ends[1:])
-        # Each buffer's edges end where the last row with its key ends.
-        cuts = ends[np.searchsorted(key[rows], off, "right")].tolist()
-        at = np.repeat(start[rows] - step * ends[:-1], cnt)
-        at += np.arange(0, step * total, step)  # each edge's address, visit order
+        cuts = ends[np.searchsorted(key[rows], np.arange(-1, len(bufs)), "right")].tolist()
+        at = np.repeat(start[rows] - ew * ends[:-1], cnt)
+        at += np.arange(0, ew * total, ew)  # each edge's word, visit order
         first = np.empty(V, dtype=np.int64)
         first[rows] = ends[:-1]
         back = np.repeat(first - indptr[:-1], deg)
         back += np.arange(total)  # each edge's visit-order index, row order
 
-        def read(at):  # the word at each address, in visit order
+        def read(at):  # the word at each buffer index, in visit order
             vis = np.empty(total, dtype=np.uint64)
-            vis[:cuts[0]] = meta[at[:cuts[0]] >> 3]
-            for pool, lo, hi in zip(self.pools, cuts, cuts[1:]):
-                pool.gather(at[lo:hi], vis[lo:hi])
+            for buf, lo, hi in zip(bufs, cuts, cuts[1:]):
+                vis[lo:hi] = np.take(buf, at[lo:hi])
             return vis
         indices = read(at).view(np.int64)[back]
         weights = None
         if with_weights:
-            at += 8  # an edge's property word follows its dst
+            at += 1  # an edge's property word follows its dst
             weights = read(at)[back].astype(np.float64)
         return indptr, indices, weights
 

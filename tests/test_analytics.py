@@ -11,6 +11,7 @@ from scipy.sparse import csgraph
 from graphtango import analytics, core
 from graphtango.analytics import (
     UNREACHABLE,
+    _min_relax,
     _relax_round,
     _seed_from_edges,
     build_snapshot,
@@ -23,7 +24,8 @@ from graphtango.baseline import AdListChunked, AdListShared
 from graphtango.bench.data import gen_synthetic, shuffle
 from graphtango.bench.harness import run_experiment
 from graphtango.core import Config, VertexRangeError
-from graphtango.store import IN, OUT, TYPE1, TangoStore
+from graphtango.mempool import OFF_MASK
+from graphtango.store import IN, OUT, TYPE1, TYPE2, TangoStore
 
 
 def random_graph(V, E, seed, weighted=False, directed=False):
@@ -142,6 +144,8 @@ def test_pr_single_vertex_and_empty():
     store5 = TangoStore(Config(), 5)
     r5 = run_pr(build_snapshot(store5))
     assert np.allclose(r5.values, (1 - 0.85) / 5)
+    r0 = run_pr(build_snapshot(TangoStore(Config(), 0)))
+    assert (r0.values.size, r0.rounds, r0.mode) == (0, 0, "full")
 
 
 def test_pr_sink_mass_not_redistributed():
@@ -237,6 +241,10 @@ def test_bfs_unreachable_and_sources():
         run_bfs(snap, 6)
     with pytest.raises(VertexRangeError):
         run_sssp(build_snapshot(load(TangoStore, 4, [((0, 1), 2)], True, False)), -1)
+    with pytest.raises(ValueError, match="weighted snapshot"):
+        run_sssp(snap, 0)
+    with pytest.raises(ValueError, match="need_in=True"):
+        run_cc(build_snapshot(TangoStore(Config(directed=True), 3)))
 
 
 def test_snapshot_shapes_and_formats_agree():
@@ -368,6 +376,25 @@ def test_csr_export_over_many_blocks(weighted, threads):
         assert_export_matches_walk(store)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_csr_export_refuses_a_row_past_its_block(weighted):
+    # A Type2 record whose edge handle points at its block's last word has
+    # a row that runs past the block's end: the bounds-checked read raises
+    # rather than return words from beyond the block.
+    with small_geometry():
+        cfg = small_config(weighted, False)
+        store = TangoStore(cfg, 64)
+        for d in range(cfg.th0 + 1):
+            store.insert_edge(1, 30 + d, d + 1 if weighted else None)
+        assert store.vertex_kind(1) == TYPE2
+        assert_export_matches_walk(store)
+        meta = store._sides[OUT].meta
+        handle = meta.item(8 + 2)  # vertex 1's edge array, word _EDGES
+        meta[8 + 2] = handle - (handle & OFF_MASK) + core.BLOCK_BYTES - 8
+        with pytest.raises(IndexError):
+            store.csr(OUT)
+
+
 @pytest.mark.parametrize("cls", [TangoStore, AdListChunked, AdListShared])
 @pytest.mark.parametrize("V", [0, 5])
 def test_csr_export_of_empty_store(cls, V):
@@ -406,7 +433,7 @@ def test_snapshot_is_a_copy(threads):
         for a, k in zip(arrays, kept):
             assert a.dtype == k.dtype and np.array_equal(a, k)
         buffers = [s.meta for s in store._sides]
-        buffers += [b.u64 for p in store.pools for b in p._blocks]
+        buffers += [b.u64 for p in store.pools for b in p.blocks]
         assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
 
 
@@ -559,6 +586,14 @@ def oracle_min_relax(csrs, values, frontier):
         if frontier is None:
             break
     return rounds
+
+
+def test_min_relax_refuses_a_negative_cycle():
+    # 0 <-> 1 at cost -1: every round lowers both, so no fixed point exists
+    indptr = np.array([0, 1, 2], dtype=np.int64)
+    indices = np.array([1, 0], dtype=np.int64)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        _min_relax([(indptr, indices, -1.0)], np.zeros(2), [0])
 
 
 def oracle_seed_from_edges(values, srcs, dsts, costs, symmetric):

@@ -18,6 +18,8 @@ def test_basic_roundtrip(cls):
     assert store.insert_edge(1, 2) is False
     assert store.has_edge(2, 1)  # undirected mirror
     assert store.degree(1) == 1
+    degs = store.degree_array()
+    assert degs.dtype == np.uint64 and degs.tolist() == [0, 1, 1] + [0] * 47
     assert store.delete_edge(1, 2) is True
     assert store.delete_edge(1, 2) is False
     assert store.neighbors(1).tolist() == []

@@ -364,7 +364,7 @@ def arcs(store):
     return out
 
 
-def test_experiment_phases_and_drain():
+def test_experiment_phases_and_drain(monkeypatch):
     el = shuffle(gen_synthetic("short", 300, 2400, seed=5), 5)
     reports, summary = run_experiment(el, "tango", algorithms=("bfs",),
                                       batch_size=500, num_threads=2)
@@ -381,6 +381,10 @@ def test_experiment_phases_and_drain():
     assert summary.delete_geomean_eps > 0
     assert summary.mean_bytes_per_edge > 0
     assert summary.num_edges == 2400
+    # A store whose deletes leave every edge in place fails the run.
+    monkeypatch.setattr(TangoStore, "delete_half", lambda self, v, nbr, side=0: False)
+    with pytest.raises(RuntimeError, match="did not drain"):
+        run_experiment(el, "tango", algorithms=(), batch_size=500)
 
 
 def test_experiment_matches_single_thread_reference():
@@ -566,6 +570,10 @@ def test_experiment_validation_errors():
         run_experiment(el, "tango", algorithms=("sssp",))  # unweighted list
     with pytest.raises(ValueError):
         run_experiment(el, "tango", batch_size=0)
+    with pytest.raises(ValueError, match="srcs/dsts length"):
+        EdgeList(srcs=[0, 1], dsts=[1], weights=None, num_vertices=2, directed=False)
+    with pytest.raises(ValueError, match="weights length"):
+        EdgeList(srcs=[0], dsts=[1], weights=[1, 2], num_vertices=2, directed=False)
 
 
 def test_repeated_algorithm_refused_before_any_work(monkeypatch, capsys):
@@ -1003,6 +1011,14 @@ def test_cli_memory_error_exits_2(monkeypatch, capsys):
         "graphtango-bench: error: Unable to allocate 7.28 TiB for an array\n"
 
 
+def refuse_data(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data was built before the argument checks")
+
+    monkeypatch.setattr(cli, "gen_synthetic", refuse)
+    monkeypatch.setattr(cli, "load_snap", refuse)
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["--seed", "-1"], "--seed must be >= 0, got -1", id="seed"),
     pytest.param(["--batch-size", "0"], "batch_size must be >= 1", id="batch-size"),
@@ -1022,16 +1038,32 @@ def test_cli_memory_error_exits_2(monkeypatch, capsys):
 ])
 def test_cli_bad_arguments_exit_2_before_any_data(tmp_path, monkeypatch, capsys,
                                                   argv, message):
-    def refuse(*args, **kwargs):
-        raise AssertionError("data was built before the argument checks")
-
-    monkeypatch.setattr(cli, "gen_synthetic", refuse)
-    monkeypatch.setattr(cli, "load_snap", refuse)
+    refuse_data(monkeypatch)
     snap = write(tmp_path, "0 1\n")
     for source in (["--synthetic", "short", "--vertices", "10", "--edges", "100"],
                    ["--input", str(snap)]):
         assert main(source + argv) == 2
         assert capsys.readouterr().err == f"graphtango-bench: error: {message}\n"
+
+
+def test_cli_bad_report_path_or_size_flags_with_input_exit_2_before_any_data(
+        tmp_path, monkeypatch, capsys):
+    # A run that could not write its report, or whose size flags would be
+    # ignored, is refused before any data is built and writes no file.
+    refuse_data(monkeypatch)
+    snap = write(tmp_path, "0 1\n")
+    missing = tmp_path / "missing" / "r.csv"
+    synthetic = ["--synthetic", "short", "--vertices", "10", "--edges", "100"]
+    for source in (synthetic, ["--input", str(snap)]):
+        for report in (missing, tmp_path):
+            assert main(source + ["--report", str(report)]) == 2
+            assert capsys.readouterr().err == \
+                f"graphtango-bench: error: --report {report}: not a writable file path\n"
+    for extra in (["--vertices", "5"], ["--edges", "7"]):
+        assert main(["--input", str(snap)] + extra) == 2
+        assert capsys.readouterr().err == \
+            "graphtango-bench: error: --vertices and --edges apply to --synthetic only\n"
+    assert [p.name for p in tmp_path.iterdir()] == [snap.name]
 
 
 def test_cli_threads_above_cap_exits_2(monkeypatch, capsys):

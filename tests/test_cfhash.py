@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -252,6 +253,11 @@ def test_rebuild_refuses_a_bad_capacity_and_changes_nothing():
     for bad in (12, 4, 0):
         with pytest.raises(ValueError):
             CfhTable(bad)
+    # 2^33 lines would need 66 hash bits: refused before any chunk is carved
+    pool = MemoryPool()
+    with pytest.raises(ValueError, match=r"2\*log2"):
+        CfhTable(1 << 36, pool=pool)
+    assert pool.stats()["bytes_reserved"] == 0
 
 
 def test_bulk_load_matches_inserts():
@@ -340,6 +346,7 @@ def test_probe_stats_helpers():
     assert s.fraction_within("insert", 1) == pytest.approx(0.98)
     assert s.fraction_within("insert", 8) == 1.0
     assert s.fraction_within("find", 1) == pytest.approx(0.75)
+    assert math.isnan(ProbeStats().fraction_within("find", 1))
 
 
 class OracleTable:

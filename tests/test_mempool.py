@@ -8,6 +8,7 @@ import pytest
 from graphtango import Config, TangoStore, core
 from graphtango.mempool import (
     NULL,
+    OFF_MASK,
     PAGE_BYTES,
     MemoryPool,
     PoolError,
@@ -108,51 +109,6 @@ def test_views_share_memory():
     assert len(pool.allocate_words(4)[1]) == 4
 
 
-def _gather(pool, addrs):
-    out = np.empty(len(addrs), dtype=np.uint64)
-    pool.gather(addrs, out)
-    return out
-
-
-def test_gather_reads_words_across_blocks(monkeypatch):
-    monkeypatch.setattr(core, "BLOCK_BYTES", PAGE_BYTES)
-    pool = MemoryPool()
-    chunks = [pool.allocate_words(8) for _ in range(3 * PAGE_BYTES // 64)]
-    chunks.append(pool.allocate_words(16))  # a block of another class
-    assert pool.stats()["num_blocks"] == 4
-    words = {}
-    for i, (c, view) in enumerate(chunks):
-        view[:8] = array("Q", range(100 * i, 100 * i + 8))
-        words.update({c + 8 * j: 100 * i + j for j in (0, 3, 7)})
-    addrs = sorted(words)
-    got = _gather(pool, np.array(addrs, dtype=np.int64))
-    assert got.tolist() == [words[a] for a in addrs]
-    # Blocks ascending, addresses in any order within a block.
-    rng = np.random.default_rng(3)
-    mixed = np.array(addrs, dtype=np.int64)
-    for b in np.unique(mixed >> 48).tolist():
-        run = mixed[mixed >> 48 == b]
-        mixed[mixed >> 48 == b] = rng.permutation(run)
-    assert not np.array_equal(mixed, addrs)
-    assert _gather(pool, mixed).tolist() == [words[a] for a in mixed.tolist()]
-    assert _gather(pool, np.empty(0, dtype=np.int64)).tolist() == []
-
-
-def test_gather_writes_only_its_slice_and_checks_bounds(monkeypatch):
-    monkeypatch.setattr(core, "BLOCK_BYTES", PAGE_BYTES)
-    pool = MemoryPool()
-    a, view = pool.allocate_words(4)
-    b, _ = pool.allocate_words(512)  # a block of its own, one page long
-    view[:] = array("Q", (2, 3, 5, 7))
-    big = np.full(10, 99, dtype=np.uint64)
-    pool.gather(np.arange(a, a + 32, 8), big[3:7])
-    assert big.tolist() == [99, 99, 99, 2, 3, 5, 7, 99, 99, 99]
-    with pytest.raises(IndexError):  # one word past the end of b's block
-        pool.gather(np.array([b + PAGE_BYTES], dtype=np.int64), big[:1])
-    with pytest.raises(IndexError):  # ... and of a's
-        pool.gather(np.array([a + PAGE_BYTES], dtype=np.int64), big[:1])
-
-
 def test_chunk_alignment():
     pool = MemoryPool(debug=True)
     for size in (8, 64, 128, 4096, 1 << 16):
@@ -214,7 +170,7 @@ def test_address_sequence_across_two_blocks(monkeypatch):
     b1, b2 = 1 << 48, 2 << 48
     got = [pool.allocate(64) for _ in range(10)]
     assert got == [b1 + 64 * i for i in range(10)]
-    assert not pool._blocks[0].u64[80:].any()
+    assert not pool.blocks[0].u64[80:].any()
     for a in (got[3], got[7], got[5]):
         pool.deallocate(a, 64)
     got = [pool.allocate(64) for _ in range(per_block - 7 + 2)]
@@ -222,7 +178,7 @@ def test_address_sequence_across_two_blocks(monkeypatch):
     assert got[3:-2] == [b1 + 64 * i for i in range(10, per_block)]
     assert got[-2:] == [b2, b2 + 64]
     assert pool.stats()["num_blocks"] == 2
-    assert not pool._blocks[1].u64.any()
+    assert not pool.blocks[1].u64.any()
     pool.deallocate(got[-1], 64)
     pool.deallocate(b1 + 64 * 20, 64)
     assert [pool.allocate(64) for _ in range(3)] == [b1 + 64 * 20, b2 + 64, b2 + 128]
@@ -248,6 +204,23 @@ def test_size_mismatch_caught():
     a = pool.allocate(64)
     with pytest.raises(PoolError):
         pool.deallocate(a, 128)
+
+
+def test_tampered_free_list_or_shadow_caught():
+    # A class-4 free-list head pointing into a class-3 block, off its 16 B
+    # alignment, or at a live chunk is caught when popped; so is a free of
+    # a live chunk whose shadow was cleared.
+    pool = MemoryPool(debug=True)
+    a = pool.allocate(8)
+    b = pool.allocate(16)
+    for head, what in ((a, "class-3 block"), (b + 8, "not aligned"), (b, "overlap")):
+        pool._free_heads[4] = head
+        with pytest.raises(PoolError, match=what):
+            pool.allocate(16)
+        pool._free_heads[4] = NULL
+    pool.blocks[0].shadow[(a & OFF_MASK) >> 3] = False
+    with pytest.raises(PoolError, match="shadow corruption"):
+        pool.deallocate(a, 8)
 
 
 def test_foreign_thread_rejected():

@@ -195,11 +195,19 @@ def test_type2_record_clears_hash_words():
     for k in range(10):
         store.insert_half(0, 10 + k)
     assert store.vertex_kind(0) == TYPE3 and side.meta.item(3) != 0
+    tbl = side.tables[0]
+    tbl.capacity_slots *= 2  # the table no longer matches the array
+    with pytest.raises(AssertionError, match="hash capacity"):
+        store.check_invariants(0)
+    tbl.capacity_slots //= 2
     store.delete_half(0, 19)
     store.delete_half(0, 18)
     assert store.vertex_kind(0) == TYPE2
     assert (side.meta.item(3), side.meta.item(4)) == (0, 0)
     store.check_invariants(0, deep=True)
+    side.meta[3] = 1  # a stale hash word in a Type2 record
+    with pytest.raises(AssertionError, match="Type2 record holds hash words"):
+        store.check_invariants(0)
 
 
 def test_th1_bounce():
@@ -274,6 +282,7 @@ def test_unweighted_rejects_property():
         store.insert_edge(1, 2, 5)
     assert store.insert_edge(1, 2) is True
     assert store.get_edge_prop(1, 2) == 0
+    assert store.get_edge_prop(1, 3) is None
 
 
 def test_vertex_range_checked():
